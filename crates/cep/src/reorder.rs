@@ -136,16 +136,25 @@ impl<T> ReorderBuffer<T> {
     /// Accepts an arrival under an explicit ordering key and returns any
     /// items now releasable, in key order (FIFO among equal keys).
     pub fn push_at(&mut self, key: TimePoint, item: T) -> Vec<T> {
+        let mut out = Vec::new();
+        self.push_at_into(key, item, &mut out);
+        out
+    }
+
+    /// [`ReorderBuffer::push_at`], appending the released items to a
+    /// caller-owned buffer instead of returning a fresh one — a stream
+    /// stage that reuses `out` releases without allocating.
+    pub fn push_at_into(&mut self, key: TimePoint, item: T, out: &mut Vec<T>) {
         if let Some(w) = self.watermark() {
             if key < w {
                 self.late_dropped += 1;
-                return Vec::new();
+                return;
             }
         }
         self.tie += 1;
         self.buffer.insert((key, self.tie), item);
         self.max_seen = Some(self.max_seen.map_or(key, |m| m.max(key)));
-        self.drain()
+        self.drain_into(out);
     }
 
     /// Advances the watermark from an out-of-band time observation and
@@ -157,8 +166,16 @@ impl<T> ReorderBuffer<T> {
     /// global maximum as a heartbeat and every shard applies it here,
     /// keeping late-drop decisions aligned with a single-shard run.
     pub fn observe(&mut self, t: TimePoint) -> Vec<T> {
+        let mut out = Vec::new();
+        self.observe_into(t, &mut out);
+        out
+    }
+
+    /// [`ReorderBuffer::observe`], appending the released items to a
+    /// caller-owned buffer.
+    pub fn observe_into(&mut self, t: TimePoint, out: &mut Vec<T>) {
         self.max_seen = Some(self.max_seen.map_or(t, |m| m.max(t)));
-        self.drain()
+        self.drain_into(out);
     }
 
     /// Releases everything still buffered (stream end), in order.
@@ -213,11 +230,11 @@ impl<T> ReorderBuffer<T> {
         Ok(())
     }
 
-    fn drain(&mut self) -> Vec<T> {
+    fn drain_into(&mut self, out: &mut Vec<T>) {
         let Some(w) = self.watermark() else {
-            return Vec::new();
+            return;
         };
-        let mut out = Vec::new();
+        let before = out.len();
         while let Some(entry) = self.buffer.first_entry() {
             if entry.key().0 <= w {
                 out.push(entry.remove());
@@ -225,8 +242,7 @@ impl<T> ReorderBuffer<T> {
                 break;
             }
         }
-        self.released += out.len() as u64;
-        out
+        self.released += (out.len() - before) as u64;
     }
 }
 
@@ -346,6 +362,28 @@ mod tests {
         assert_eq!(live.watermark(), recovering.watermark());
         recovering.end_recovery();
         assert!(!recovering.is_recovering());
+    }
+
+    /// The `_into` forms append to the caller's buffer (keeping what it
+    /// already held) and release exactly what the returning forms do.
+    #[test]
+    fn into_forms_append_to_the_callers_buffer() {
+        let mut fresh = ReorderBuffer::new(Duration::new(10));
+        let mut reused = ReorderBuffer::new(Duration::new(10));
+        let mut out = vec![mk(1)];
+        for t in [105, 100, 120, 90, 130] {
+            let a = fresh.push(mk(t));
+            let before = out.len();
+            reused.push_at_into(TimePoint::new(t), mk(t), &mut out);
+            assert_eq!(&out[before..], &a[..], "push at {t}");
+        }
+        let a = fresh.observe(TimePoint::new(200));
+        let before = out.len();
+        reused.observe_into(TimePoint::new(200), &mut out);
+        assert_eq!(&out[before..], &a[..]);
+        assert_eq!(out[0], mk(1), "earlier contents are kept");
+        assert_eq!(reused.released(), fresh.released());
+        assert_eq!(reused.late_dropped(), fresh.late_dropped());
     }
 
     #[test]

@@ -289,18 +289,25 @@ impl AttrAggregate {
     /// which is 0).
     #[must_use]
     pub fn apply(self, values: &[f64]) -> Option<f64> {
-        if let AttrAggregate::Count = self {
-            return Some(values.len() as f64);
-        }
-        if values.is_empty() {
-            return None;
-        }
+        self.fold(values.iter().copied())
+    }
+
+    /// [`AttrAggregate::apply`] over a stream of values, in one pass and
+    /// without buffering them.
+    #[must_use]
+    pub(crate) fn fold(self, values: impl IntoIterator<Item = f64>) -> Option<f64> {
+        let mut n = 0usize;
+        let values = values.into_iter().inspect(|_| n += 1);
+        let acc = match self {
+            AttrAggregate::Count => return Some(values.count() as f64),
+            AttrAggregate::Average | AttrAggregate::Sum => values.sum::<f64>(),
+            AttrAggregate::Min => values.reduce(f64::min)?,
+            AttrAggregate::Max => values.reduce(f64::max)?,
+        };
         match self {
-            AttrAggregate::Average => Some(values.iter().sum::<f64>() / values.len() as f64),
-            AttrAggregate::Sum => Some(values.iter().sum()),
-            AttrAggregate::Min => values.iter().copied().reduce(f64::min),
-            AttrAggregate::Max => values.iter().copied().reduce(f64::max),
-            AttrAggregate::Count => unreachable!("handled above"),
+            _ if n == 0 => None,
+            AttrAggregate::Average => Some(acc / n as f64),
+            _ => Some(acc),
         }
     }
 

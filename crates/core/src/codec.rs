@@ -427,9 +427,13 @@ fn decode_layer(bytes: &mut &[u8]) -> CodecResult<Layer> {
     })
 }
 
-fn encode_attributes(attrs: &Attributes, buf: &mut Vec<u8>) {
-    put_u32(buf, u32::try_from(attrs.len()).unwrap_or(u32::MAX));
-    for (name, value) in attrs.iter() {
+fn encode_attributes<'a>(
+    len: usize,
+    attrs: impl Iterator<Item = (&'a str, &'a AttrValue)>,
+    buf: &mut Vec<u8>,
+) {
+    put_u32(buf, u32::try_from(len).unwrap_or(u32::MAX));
+    for (name, value) in attrs {
         put_str(buf, name);
         match value {
             AttrValue::Float(v) => {
@@ -478,19 +482,55 @@ fn decode_attributes(bytes: &mut &[u8]) -> CodecResult<Attributes> {
 // The instance itself.
 // ---------------------------------------------------------------------
 
+/// Borrowed fields of one instance, wherever they are stored: the
+/// single encoder behind [`encode_instance`] and
+/// [`crate::ColumnarBatch::encode_row`], so both write the same bytes.
+pub(crate) struct InstanceFields<'a, A> {
+    pub observer: ObserverId,
+    pub event: &'a str,
+    pub seq: SeqNo,
+    pub layer: Layer,
+    pub gen_time: TimePoint,
+    pub gen_location: Point,
+    pub est_time: &'a TemporalExtent,
+    pub est_location: &'a SpatialExtent,
+    /// Attribute count, then the attributes in sorted key order.
+    pub attributes: (usize, A),
+    pub confidence: f64,
+}
+
+impl<'a, A: Iterator<Item = (&'a str, &'a AttrValue)>> InstanceFields<'a, A> {
+    /// Encodes the fields in [`encode_instance`]'s layout.
+    pub(crate) fn encode(self, buf: &mut Vec<u8>) {
+        encode_observer_id(self.observer, buf);
+        put_str(buf, self.event);
+        put_u64(buf, self.seq.raw());
+        put_u8(buf, layer_tag(self.layer));
+        encode_time_point(self.gen_time, buf);
+        encode_point(self.gen_location, buf);
+        encode_temporal_extent(self.est_time, buf);
+        encode_spatial_extent(self.est_location, buf);
+        encode_attributes(self.attributes.0, self.attributes.1, buf);
+        put_f64(buf, self.confidence);
+    }
+}
+
 /// Encodes a full [`EventInstance`] (identity, generation stamp,
 /// estimates, attributes, confidence) into `buf`.
 pub fn encode_instance(inst: &EventInstance, buf: &mut Vec<u8>) {
-    encode_observer_id(inst.observer(), buf);
-    put_str(buf, inst.event().as_str());
-    put_u64(buf, inst.seq().raw());
-    put_u8(buf, layer_tag(inst.layer()));
-    encode_time_point(inst.generation_time(), buf);
-    encode_point(inst.generation_location(), buf);
-    encode_temporal_extent(inst.estimated_time(), buf);
-    encode_spatial_extent(inst.estimated_location(), buf);
-    encode_attributes(inst.attributes(), buf);
-    put_f64(buf, inst.confidence().value());
+    InstanceFields {
+        observer: inst.observer(),
+        event: inst.event().as_str(),
+        seq: inst.seq(),
+        layer: inst.layer(),
+        gen_time: inst.generation_time(),
+        gen_location: inst.generation_location(),
+        est_time: inst.estimated_time(),
+        est_location: inst.estimated_location(),
+        attributes: (inst.attributes().len(), inst.attributes().iter()),
+        confidence: inst.confidence().value(),
+    }
+    .encode(buf);
 }
 
 /// Decodes an [`EventInstance`] encoded by [`encode_instance`],

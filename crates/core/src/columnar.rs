@@ -9,11 +9,15 @@
 //! into parallel arrays, event ids and attribute keys are interned once
 //! per batch, and attribute values live in a flat arena that a
 //! [`ColumnarBatch::reset`] reclaims without freeing capacity. Routing,
-//! scope tests, and BVH probes then iterate dense columns; a full
-//! [`EventInstance`] is only re-materialized for the minority of rows
-//! that actually reach evaluation or durable logging.
+//! scope tests, BVH probes, condition evaluation (attributes are read
+//! in place from the arena) and WAL encoding ([`ColumnarBatch::encode_row`])
+//! then work on dense columns; a full [`EventInstance`] is only
+//! re-materialized for the minority of rows that produce a
+//! notification or feed a pattern detector.
 
-use crate::{AttrValue, Attributes, Confidence, EventId, EventInstance, Layer, ObserverId, SeqNo};
+use crate::{
+    codec, AttrValue, Attributes, Confidence, EventId, EventInstance, Layer, ObserverId, SeqNo,
+};
 use std::collections::BTreeMap;
 use stem_spatial::{Point, SpatialExtent};
 use stem_temporal::{TemporalExtent, TimePoint};
@@ -65,11 +69,29 @@ impl AttrArena {
     /// arena preserves that order per row).
     #[must_use]
     pub fn materialize_row(&self, row: usize) -> Attributes {
+        // Inserted one by one: collecting would buffer and sort the
+        // (already sorted) pairs in a scratch vector first.
+        let mut attrs = Attributes::new();
+        for (key, value) in self.row(row) {
+            attrs.set(key, value.clone());
+        }
+        attrs
+    }
+
+    /// The `(key, value)` pairs of a row, in sorted key order.
+    pub(crate) fn row(&self, row: usize) -> impl ExactSizeIterator<Item = (&str, &AttrValue)> {
         let (start, end) = self.rows[row];
         self.entries[start as usize..end as usize]
             .iter()
-            .map(|(id, value)| (self.keys[*id as usize].clone(), value.clone()))
-            .collect()
+            .map(|(id, value)| (self.keys[*id as usize].as_str(), value))
+    }
+
+    /// The row's attribute `key`, without materializing the row (rows
+    /// hold a handful of attributes, so a scan beats the interner
+    /// lookup).
+    #[must_use]
+    pub(crate) fn get(&self, row: usize, key: &str) -> Option<&AttrValue> {
+        self.row(row).find(|(k, _)| *k == key).map(|(_, v)| v)
     }
 
     /// Number of rows pushed since the last reset.
@@ -241,6 +263,31 @@ impl ColumnarBatch {
         &self.est_locations[row]
     }
 
+    /// The row's observer-assigned sequence number.
+    #[must_use]
+    pub fn seq(&self, row: usize) -> SeqNo {
+        self.seqs[row]
+    }
+
+    /// The row's estimated occurrence time `t^eo`.
+    #[must_use]
+    pub fn estimated_time(&self, row: usize) -> TemporalExtent {
+        self.est_times[row]
+    }
+
+    /// The row's producer confidence `ρ`.
+    #[must_use]
+    pub fn confidence(&self, row: usize) -> Confidence {
+        self.confidences[row]
+    }
+
+    /// The row's attribute `key` as a number (see
+    /// [`Attributes::get_f64`]), read from the arena in place.
+    #[must_use]
+    pub fn attr_f64(&self, row: usize, key: &str) -> Option<f64> {
+        self.attrs.get(row, key).and_then(AttrValue::as_f64)
+    }
+
     /// The representative points of every row, as one dense column.
     #[must_use]
     pub fn representatives(&self) -> &[Point] {
@@ -276,6 +323,26 @@ impl ColumnarBatch {
         .build()
     }
 
+    /// Appends the row's [`codec::encode_instance`] bytes to `buf`
+    /// straight from the columns — byte-identical to encoding
+    /// [`ColumnarBatch::materialize`]'s result, without building it.
+    pub fn encode_row(&self, row: usize, buf: &mut Vec<u8>) {
+        let attrs = self.attrs.row(row);
+        codec::InstanceFields {
+            observer: self.observers[row],
+            event: self.event(row).as_str(),
+            seq: self.seqs[row],
+            layer: self.layers[row],
+            gen_time: self.gen_times[row],
+            gen_location: self.gen_locations[row],
+            est_time: &self.est_times[row],
+            est_location: &self.est_locations[row],
+            attributes: (attrs.len(), attrs),
+            confidence: self.confidences[row].value(),
+        }
+        .encode(buf);
+    }
+
     /// Drops every row while keeping all column capacity and both
     /// interners (event ids and attribute keys), so a recycled batch
     /// rebuilds at amortized zero allocation cost.
@@ -298,7 +365,10 @@ impl ColumnarBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MoteId;
+    use crate::{CcuId, MoteId};
+    use proptest::prelude::*;
+    use stem_spatial::{Circle, Field, Polygon, Rect};
+    use stem_temporal::TimeInterval;
 
     fn inst(t: u64, x: f64, event: &str) -> EventInstance {
         EventInstance::builder(
@@ -384,6 +454,111 @@ mod tests {
         batch.reset();
         let again = batch.push_stamped(&inst(3, 2.0, "hot"), 7);
         assert_eq!(batch.ingest_stamp(again), 7, "stamps cleared by reset");
+    }
+
+    /// A random attribute value of every kind, text included.
+    fn any_value() -> impl Strategy<Value = AttrValue> {
+        prop_oneof![
+            (-1e6f64..1e6).prop_map(AttrValue::Float),
+            (-1000i64..1000).prop_map(AttrValue::Int),
+            proptest::bool::ANY.prop_map(AttrValue::Bool),
+            (0u32..1000).prop_map(|n| AttrValue::Text(format!("label-{n}"))),
+        ]
+    }
+
+    /// A random estimated location: a point or any field kind.
+    fn any_extent() -> impl Strategy<Value = SpatialExtent> {
+        prop_oneof![
+            (-50.0f64..50.0, -50.0f64..50.0)
+                .prop_map(|(x, y)| SpatialExtent::point(Point::new(x, y))),
+            (-50.0f64..50.0, -50.0f64..50.0, 0.0f64..20.0).prop_map(|(x, y, w)| {
+                SpatialExtent::field(Field::rect(Rect::new(
+                    Point::new(x, y),
+                    Point::new(x + w, y + w / 2.0),
+                )))
+            }),
+            (-50.0f64..50.0, -50.0f64..50.0, 0.1f64..20.0).prop_map(|(x, y, r)| {
+                SpatialExtent::field(Field::circle(Circle::new(Point::new(x, y), r)))
+            }),
+            (-50.0f64..50.0, -50.0f64..50.0, 1.0f64..20.0).prop_map(|(x, y, s)| {
+                let tri = vec![Point::new(x, y), Point::new(x + s, y), Point::new(x, y + s)];
+                SpatialExtent::field(Field::Polygon(Polygon::new(tri).expect("a triangle")))
+            }),
+        ]
+    }
+
+    /// A random instance with several attributes and any extents.
+    fn any_instance() -> impl Strategy<Value = EventInstance> {
+        (
+            (0u32..3, 0u32..100, 0u64..1_000_000, 0u64..50),
+            (any_extent(), proptest::bool::ANY, 0.0f64..1.0),
+            proptest::collection::vec((0usize..6, any_value()), 0..6),
+        )
+            .prop_map(|((kind, id, t, span), (location, interval, rho), attrs)| {
+                let observer = match kind {
+                    0 => ObserverId::Mote(MoteId::new(id)),
+                    1 => ObserverId::Ccu(CcuId::new(id)),
+                    _ => ObserverId::Human(id),
+                };
+                let time = TimePoint::new(t);
+                let estimated = if interval {
+                    TemporalExtent::interval(
+                        TimeInterval::new(time, TimePoint::new(t + span)).expect("ordered"),
+                    )
+                } else {
+                    TemporalExtent::punctual(time)
+                };
+                let keys = ["temp", "hum", "label", "hot", "a", "zz"];
+                let mut set = Attributes::new();
+                for (k, v) in attrs {
+                    set.set(keys[k], v);
+                }
+                EventInstance::builder(
+                    observer,
+                    EventId::new(["hot", "cold"][id as usize % 2]),
+                    Layer::Sensor,
+                )
+                .seq(SeqNo::new(t / 3))
+                .generated(
+                    TimePoint::new(t + span),
+                    Point::new(id as f64, -(id as f64)),
+                )
+                .estimated(estimated, location)
+                .attributes(set)
+                .confidence(Confidence::new(rho).expect("in range"))
+                .build()
+            })
+    }
+
+    proptest! {
+        /// Encoding a row from the columns writes exactly the bytes of
+        /// encoding its materialized instance, and the in-place
+        /// accessors agree with the materialized fields.
+        #[test]
+        fn encode_row_is_byte_identical_to_encoding_the_materialized_row(
+            instances in proptest::collection::vec(any_instance(), 1..12),
+        ) {
+            let mut batch = ColumnarBatch::new();
+            for instance in &instances {
+                batch.push(instance);
+            }
+            for row in 0..batch.len() {
+                let materialized = batch.materialize(row);
+                let (mut direct, mut via) = (Vec::new(), Vec::new());
+                batch.encode_row(row, &mut direct);
+                codec::encode_instance(&materialized, &mut via);
+                prop_assert_eq!(&direct, &via);
+                prop_assert_eq!(batch.seq(row), materialized.seq());
+                prop_assert_eq!(&batch.estimated_time(row), materialized.estimated_time());
+                prop_assert_eq!(batch.confidence(row), materialized.confidence());
+                for key in ["temp", "hum", "label", "hot", "a", "zz", "missing"] {
+                    prop_assert_eq!(
+                        batch.attr_f64(row, key).map(f64::to_bits),
+                        materialized.attributes().get_f64(key).map(f64::to_bits)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,6 +13,74 @@ use std::fmt;
 use stem_spatial::{SpatialAgg, SpatialExtent, SpatialOperator};
 use stem_temporal::{TemporalExtent, TemporalOperator, TimeAgg};
 
+/// What a condition reads from one bound entity: its estimated
+/// occurrence time and location, its numeric attributes, and its
+/// producer confidence.
+///
+/// [`EntityData`] is the owned view; the engine implements it over a
+/// borrowed columnar row, so conditions evaluate against the row's
+/// columns without rebuilding an instance.
+pub trait EntityView {
+    /// Occurrence time (estimated).
+    fn time(&self) -> TemporalExtent;
+    /// Occurrence location (estimated).
+    fn location(&self) -> &SpatialExtent;
+    /// The attribute's numeric view, if the attribute exists and is
+    /// numeric.
+    fn attr_f64(&self, key: &str) -> Option<f64>;
+    /// Producer confidence `ρ`, in `[0, 1]`.
+    fn confidence(&self) -> f64;
+}
+
+impl EntityView for EntityData {
+    fn time(&self) -> TemporalExtent {
+        self.time
+    }
+
+    fn location(&self) -> &SpatialExtent {
+        &self.location
+    }
+
+    fn attr_f64(&self, key: &str) -> Option<f64> {
+        self.attributes.get_f64(key)
+    }
+
+    fn confidence(&self) -> f64 {
+        self.confidence.value()
+    }
+}
+
+/// Resolves the entity names a condition references to entity views.
+///
+/// [`Bindings`] is the general implementation (a name → entity map).
+/// A single-row view that answers every name with the same row is the
+/// other: the engine binds every entity of a per-instance condition to
+/// the candidate instance.
+pub trait EntityLookup {
+    /// The entity view type.
+    type Entity: EntityView + ?Sized;
+    /// The entity bound to `name`, if any.
+    fn entity(&self, name: &str) -> Option<&Self::Entity>;
+}
+
+impl EntityLookup for Bindings {
+    type Entity = EntityData;
+
+    fn entity(&self, name: &str) -> Option<&EntityData> {
+        self.get(name)
+    }
+}
+
+/// Resolves `name` or reports it unbound.
+fn bound<'a, L: EntityLookup + ?Sized>(
+    entities: &'a L,
+    name: &str,
+) -> Result<&'a L::Entity, EvalError> {
+    entities
+        .entity(name)
+        .ok_or_else(|| EvalError::UnboundEntity(name.to_owned()))
+}
+
 /// A symbolic reference to an entity bound at evaluation time.
 ///
 /// The paper's conditions reference entities like "physical observation x"
@@ -198,24 +266,26 @@ impl AttributeCondition {
     /// [`EvalError::UnboundEntity`] / [`EvalError::MissingAttribute`] when
     /// references cannot be resolved; [`EvalError::EmptyAggregation`] when
     /// the aggregate has no inputs.
-    pub fn eval(&self, bindings: &Bindings) -> Result<bool, EvalError> {
-        let mut values = Vec::with_capacity(self.inputs.len());
-        for r in &self.inputs {
-            let entity = bindings
-                .get(&r.entity)
-                .ok_or_else(|| EvalError::UnboundEntity(r.entity.clone()))?;
-            let v = entity.attributes.get_f64(&r.attribute).ok_or_else(|| {
-                EvalError::MissingAttribute {
-                    entity: r.entity.clone(),
-                    attribute: r.attribute.clone(),
-                }
-            })?;
-            values.push(v);
+    pub fn eval<L: EntityLookup + ?Sized>(&self, bindings: &L) -> Result<bool, EvalError> {
+        // The aggregate folds the resolved values as they stream past;
+        // the first unresolvable reference ends the stream and wins.
+        let mut error = None;
+        let values = self.inputs.iter().map_while(|r| {
+            let resolved = bound(bindings, &r.entity).and_then(|entity| {
+                entity
+                    .attr_f64(&r.attribute)
+                    .ok_or_else(|| EvalError::MissingAttribute {
+                        entity: r.entity.clone(),
+                        attribute: r.attribute.clone(),
+                    })
+            });
+            resolved.map_err(|e| error = Some(e)).ok()
+        });
+        let agg = self.aggregate.fold(values);
+        if let Some(e) = error {
+            return Err(e);
         }
-        let agg = self
-            .aggregate
-            .apply(&values)
-            .ok_or(EvalError::EmptyAggregation)?;
+        let agg = agg.ok_or(EvalError::EmptyAggregation)?;
         Ok(self.op.eval(agg, self.constant))
     }
 }
@@ -273,13 +343,10 @@ impl TimeExpr {
         self
     }
 
-    fn resolve(&self, bindings: &Bindings) -> Result<TemporalExtent, EvalError> {
+    fn resolve<L: EntityLookup + ?Sized>(&self, bindings: &L) -> Result<TemporalExtent, EvalError> {
         let mut times = Vec::with_capacity(self.entities.len());
         for name in &self.entities {
-            let entity = bindings
-                .get(name)
-                .ok_or_else(|| EvalError::UnboundEntity(name.clone()))?;
-            times.push(entity.time);
+            times.push(bound(bindings, name)?.time());
         }
         let agg = self
             .aggregate
@@ -370,7 +437,7 @@ impl TemporalCondition {
     /// # Errors
     ///
     /// See [`AttributeCondition::eval`].
-    pub fn eval(&self, bindings: &Bindings) -> Result<bool, EvalError> {
+    pub fn eval<L: EntityLookup + ?Sized>(&self, bindings: &L) -> Result<bool, EvalError> {
         let lhs = self.lhs.resolve(bindings)?;
         let rhs = match &self.rhs {
             TimeOperand::Expr(e) => e.resolve(bindings)?,
@@ -414,13 +481,10 @@ impl SpaceExpr {
         }
     }
 
-    fn resolve(&self, bindings: &Bindings) -> Result<SpatialExtent, EvalError> {
+    fn resolve<L: EntityLookup + ?Sized>(&self, bindings: &L) -> Result<SpatialExtent, EvalError> {
         let mut locs = Vec::with_capacity(self.entities.len());
         for name in &self.entities {
-            let entity = bindings
-                .get(name)
-                .ok_or_else(|| EvalError::UnboundEntity(name.clone()))?;
-            locs.push(entity.location.clone());
+            locs.push(bound(bindings, name)?.location().clone());
         }
         self.aggregate
             .apply(&locs)
@@ -528,7 +592,7 @@ impl SpatialCondition {
     /// # Errors
     ///
     /// See [`AttributeCondition::eval`].
-    pub fn eval(&self, bindings: &Bindings) -> Result<bool, EvalError> {
+    pub fn eval<L: EntityLookup + ?Sized>(&self, bindings: &L) -> Result<bool, EvalError> {
         let lhs = self.lhs.resolve(bindings)?;
         let rhs = match &self.rhs {
             SpaceOperand::Expr(e) => e.resolve(bindings)?,
@@ -573,7 +637,7 @@ impl DistanceCondition {
     /// # Errors
     ///
     /// See [`AttributeCondition::eval`].
-    pub fn eval(&self, bindings: &Bindings) -> Result<bool, EvalError> {
+    pub fn eval<L: EntityLookup + ?Sized>(&self, bindings: &L) -> Result<bool, EvalError> {
         let a = self.a.resolve(bindings)?;
         let b = self.b.resolve(bindings)?;
         Ok(self.op.eval(a.distance(&b), self.constant))
@@ -619,11 +683,9 @@ impl ConfidenceCondition {
     /// # Errors
     ///
     /// [`EvalError::UnboundEntity`] when the entity is not bound.
-    pub fn eval(&self, bindings: &Bindings) -> Result<bool, EvalError> {
-        let entity = bindings
-            .get(&self.entity)
-            .ok_or_else(|| EvalError::UnboundEntity(self.entity.clone()))?;
-        Ok(self.op.eval(entity.confidence.value(), self.constant))
+    pub fn eval<L: EntityLookup + ?Sized>(&self, bindings: &L) -> Result<bool, EvalError> {
+        let entity = bound(bindings, &self.entity)?;
+        Ok(self.op.eval(entity.confidence(), self.constant))
     }
 }
 
@@ -746,7 +808,8 @@ impl ConditionExpr {
         ConditionExpr::Confidence(c)
     }
 
-    /// Evaluates the composite condition against `bindings`.
+    /// Evaluates the composite condition against `bindings` (a
+    /// [`Bindings`] map, or any other [`EntityLookup`]).
     ///
     /// `And`/`Or` short-circuit *after* checking that every sub-condition
     /// that gets evaluated resolves; an evaluation error anywhere in the
@@ -755,7 +818,7 @@ impl ConditionExpr {
     /// # Errors
     ///
     /// Propagates the first [`EvalError`] encountered.
-    pub fn eval(&self, bindings: &Bindings) -> Result<bool, EvalError> {
+    pub fn eval<L: EntityLookup + ?Sized>(&self, bindings: &L) -> Result<bool, EvalError> {
         match self {
             ConditionExpr::And(subs) => {
                 for s in subs {

@@ -64,8 +64,8 @@ pub use codec::StateCodec;
 pub use columnar::{AttrArena, ColumnarBatch};
 pub use condition::{
     AttrRef, AttributeCondition, Bindings, ConditionExpr, ConfidenceCondition, DistanceCondition,
-    EntityName, EvalError, SpaceExpr, SpaceOperand, SpatialCondition, TemporalCondition, TimeExpr,
-    TimeOperand,
+    EntityLookup, EntityName, EntityView, EvalError, SpaceExpr, SpaceOperand, SpatialCondition,
+    TemporalCondition, TimeExpr, TimeOperand,
 };
 pub use confidence::{Confidence, InvalidConfidence};
 pub use event::{Event, EventClass, SpatialClass, TemporalClass};

@@ -1,17 +1,20 @@
 //! The unit of handoff between router and shard workers.
 
 use std::sync::Arc;
-use stem_core::{ColumnarBatch, EventId, EventInstance, Layer};
+use stem_core::{
+    codec, ColumnarBatch, EntityLookup, EntityView, EventId, EventInstance, Layer, SeqNo,
+};
 use stem_spatial::{Point, SpatialExtent};
-use stem_temporal::TimePoint;
+use stem_temporal::{TemporalExtent, TimePoint};
 
 /// How a routed instance travels to its shard.
 ///
 /// The classic path moves the owned [`EventInstance`]; the columnar
 /// ingest path instead ships a shared reference into a
-/// [`ColumnarBatch`] row, so the router and the worker's filter pass
-/// iterate flat columns and the full instance is only re-materialized
-/// for rows that reach evaluation or durable logging.
+/// [`ColumnarBatch`] row, so the router, the worker's filter pass,
+/// condition evaluation (the payload is an [`EntityView`]) and WAL
+/// encoding all read flat columns, and the full instance is only
+/// re-materialized for rows that produce a notification.
 #[derive(Debug, Clone)]
 pub enum ItemPayload {
     /// A standalone instance (per-instance ingest to a single target,
@@ -77,6 +80,26 @@ impl ItemPayload {
         }
     }
 
+    /// The observer-assigned sequence number.
+    #[must_use]
+    pub fn seq(&self) -> SeqNo {
+        match self {
+            ItemPayload::Owned(instance) => instance.seq(),
+            ItemPayload::Shared(instance) => instance.seq(),
+            ItemPayload::Columnar(batch, row) => batch.seq(*row as usize),
+        }
+    }
+
+    /// Appends the instance's [`codec::encode_instance`] bytes — read
+    /// straight from the columns for a columnar row.
+    pub fn encode_instance(&self, buf: &mut Vec<u8>) {
+        match self {
+            ItemPayload::Owned(instance) => codec::encode_instance(instance, buf),
+            ItemPayload::Shared(instance) => codec::encode_instance(instance, buf),
+            ItemPayload::Columnar(batch, row) => batch.encode_row(*row as usize, buf),
+        }
+    }
+
     /// A standalone copy of the instance (clone for owned payloads,
     /// materialization for columnar rows — bit-identical either way).
     #[must_use]
@@ -100,6 +123,49 @@ impl ItemPayload {
             }
             ItemPayload::Columnar(batch, row) => batch.materialize(row as usize),
         }
+    }
+}
+
+impl EntityView for ItemPayload {
+    fn time(&self) -> TemporalExtent {
+        match self {
+            ItemPayload::Owned(instance) => *instance.estimated_time(),
+            ItemPayload::Shared(instance) => *instance.estimated_time(),
+            ItemPayload::Columnar(batch, row) => batch.estimated_time(*row as usize),
+        }
+    }
+
+    fn location(&self) -> &SpatialExtent {
+        self.estimated_location()
+    }
+
+    fn attr_f64(&self, key: &str) -> Option<f64> {
+        match self {
+            ItemPayload::Owned(instance) => instance.attributes().get_f64(key),
+            ItemPayload::Shared(instance) => instance.attributes().get_f64(key),
+            ItemPayload::Columnar(batch, row) => batch.attr_f64(*row as usize, key),
+        }
+    }
+
+    fn confidence(&self) -> f64 {
+        match self {
+            ItemPayload::Owned(instance) => instance.confidence().value(),
+            ItemPayload::Shared(instance) => instance.confidence().value(),
+            ItemPayload::Columnar(batch, row) => batch.confidence(*row as usize).value(),
+        }
+    }
+}
+
+/// A per-instance condition's bindings: every entity name resolves to
+/// the one candidate payload. Equivalent to binding each of the
+/// condition's entity names to the instance, without building a map.
+pub(crate) struct SoleEntity<'a>(pub &'a ItemPayload);
+
+impl EntityLookup for SoleEntity<'_> {
+    type Entity = ItemPayload;
+
+    fn entity(&self, _name: &str) -> Option<&ItemPayload> {
+        Some(self.0)
     }
 }
 

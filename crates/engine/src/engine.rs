@@ -599,9 +599,9 @@ impl Engine {
     /// chunks (one `batch_size` chunk at a time) and the router, the
     /// interest masks, and the precision pass iterate the chunk's flat
     /// columns instead of touching each instance's heap allocations.
-    /// Shard workers receive shared references into the chunk and only
-    /// re-materialize the rows that actually reach evaluation or the
-    /// write-ahead log. Chunks are recycled through a small pool once
+    /// Shard workers receive shared references into the chunk, evaluate
+    /// and journal rows from its columns, and only re-materialize the
+    /// rows that notify. Chunks are recycled through a small pool once
     /// every shard has dropped its reference, so steady-state ingest
     /// reuses the same arenas instead of reallocating per chunk.
     ///

@@ -62,6 +62,10 @@ pub struct ShardRouter {
     /// built once the interest count crosses `bvh_threshold` (item
     /// index = position in `interests[shard]`). `None` = linear scan.
     bvhs: Vec<Option<Bvh>>,
+    /// Bit `s` set: shard `s`'s interests changed since its BVH was
+    /// built. Registration only marks the shard; the next route
+    /// bulk-builds it once, so a burst of subscribes costs one build.
+    bvh_dirty: u64,
     /// Interest count per home shard at which the precision pass
     /// switches to the BVH.
     bvh_threshold: usize,
@@ -125,6 +129,7 @@ impl ShardRouter {
             batch_size: batch_size.max(1),
             interests: vec![Vec::new(); shards],
             bvhs: vec![None; shards],
+            bvh_dirty: 0,
             bvh_threshold,
             scratch: Vec::new(),
             interest_grid,
@@ -229,11 +234,7 @@ impl ShardRouter {
             scopes: vec![scope],
             layers: layer_mask(layers),
         });
-        if let Some(bvh) = &mut self.bvhs[home] {
-            bvh.insert(bbox);
-        } else if self.interests[home].len() >= self.bvh_threshold.max(1) {
-            self.rebuild_bvh(home);
-        }
+        self.bvh_dirty |= 1 << home;
         self.mark_leaves(home, self.interests[home].len() - 1);
         home
     }
@@ -258,9 +259,7 @@ impl ShardRouter {
             grew
         };
         if grew {
-            // BVH item boxes are immutable once inserted; a widened
-            // union bbox needs the home shard's index rebuilt.
-            self.rebuild_bvh(home);
+            self.bvh_dirty |= 1 << home;
         }
         self.mark_leaves(home, pos);
     }
@@ -297,16 +296,21 @@ impl ShardRouter {
             .find_map(|(shard, list)| list.iter().position(|i| i.id == id).map(|pos| (shard, pos)))
     }
 
-    /// (Re)builds a home shard's BVH over its resident scope boxes, or
-    /// drops it when the count fell back below the threshold.
-    fn rebuild_bvh(&mut self, shard: ShardId) {
-        let list = &self.interests[shard];
-        self.bvhs[shard] = if list.len() >= self.bvh_threshold.max(1) {
-            let rects: Vec<Rect> = list.iter().map(|i| i.bbox).collect();
-            Some(Bvh::build(&rects))
-        } else {
-            None
-        };
+    /// Bulk-builds the BVH of every shard whose interests changed since
+    /// its last build (or drops it when the count fell back below the
+    /// threshold).
+    fn rebuild_dirty_bvhs(&mut self) {
+        while self.bvh_dirty != 0 {
+            let shard = self.bvh_dirty.trailing_zeros() as ShardId;
+            self.bvh_dirty &= self.bvh_dirty - 1;
+            let list = &self.interests[shard];
+            self.bvhs[shard] = if list.len() >= self.bvh_threshold.max(1) {
+                let rects: Vec<Rect> = list.iter().map(|i| i.bbox).collect();
+                Some(Bvh::build(&rects))
+            } else {
+                None
+            };
+        }
     }
 
     /// The home shard of a registered plan, if known.
@@ -322,7 +326,7 @@ impl ShardRouter {
         let (shard, pos) = self.locate(id)?;
         self.interests[shard].remove(pos);
         self.rebuild_leaf_masks();
-        self.rebuild_bvh(shard);
+        self.bvh_dirty |= 1 << shard;
         Some(shard)
     }
 
@@ -356,6 +360,9 @@ impl ShardRouter {
     /// the shard's interest count crossed the threshold, by the linear
     /// scan below it — both answer identically.
     fn covered_by_interest(&mut self, shard: ShardId, p: Point, layer: u8) -> bool {
+        if self.bvh_dirty != 0 {
+            self.rebuild_dirty_bvhs();
+        }
         let covers = |i: &Interest| i.scopes.iter().any(|s| s.covers(p));
         if let Some(bvh) = &self.bvhs[shard] {
             self.scratch.clear();
@@ -444,8 +451,8 @@ impl ShardRouter {
     /// batch's dense representative-point and generation-time columns
     /// instead of walking per-instance heap structures. Shards receive
     /// [`ItemPayload::Columnar`] references into the chunk; the full
-    /// instance is only re-materialized downstream for rows that reach
-    /// evaluation or durable logging.
+    /// instance is only re-materialized downstream for rows that
+    /// notify.
     ///
     /// Sequence numbers, prefix high-water stamps, and the target
     /// selection (leaf mask + precision pass) are identical to routing
@@ -588,8 +595,15 @@ impl ShardRouter {
     pub fn take_batch(&mut self, shard: ShardId) -> Batch {
         self.metrics.batches_sent += 1;
         self.heartbeat_sent[shard] = self.high_water;
+        // The next batch starts at full capacity: one allocation per
+        // batch instead of a doubling series.
+        let refill = if self.pending[shard].is_empty() {
+            Vec::new()
+        } else {
+            Vec::with_capacity(self.batch_size)
+        };
         Batch {
-            instances: std::mem::take(&mut self.pending[shard]),
+            instances: std::mem::replace(&mut self.pending[shard], refill),
             high_water: self.high_water,
             seq: self.next_seq,
             enqueue: self.trace_stamp(),
@@ -717,35 +731,65 @@ mod tests {
     }
 
     /// BVH-backed and linear precision passes answer identically and
-    /// the BVH path reports its traversal cost.
+    /// the BVH path reports its traversal cost — including while
+    /// subscribes, widening scopes and unsubscribes interleave with
+    /// routing, so every lazy rebuild of the dirty index is exercised.
     #[test]
     fn bvh_precision_pass_matches_linear_scan() {
-        let subscribe_all = |r: &mut ShardRouter| {
-            for i in 0..12u64 {
-                let f = i as f64;
-                r.subscribe(
-                    PlanId(i),
-                    rect_scope(f * 8.0, f * 8.0, f * 8.0 + 6.0, f * 8.0 + 6.0),
-                    None,
-                    // One shared home so the precision scan sees all 12.
-                    Some(Point::new(1.0, 1.0)),
-                );
+        // Scopes in the lower-left quadrant with a shared home hint, so
+        // the precision scan on that home sees most plans.
+        let hint = Some(Point::new(1.0, 1.0));
+        let square = |i: u64| {
+            let f = (i % 12) as f64 * 4.0;
+            rect_scope(f, f, f + 3.0, f + 3.0)
+        };
+        // Without owner retention the precision pass also judges the
+        // territorial owner, so every gap between squares is a skip.
+        let unretained = |threshold| {
+            let map = ShardMap::build(Rect::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0)), 4);
+            ShardRouter::new(map, 1, threshold, false)
+        };
+        let mut linear = unretained(usize::MAX);
+        let mut bvh = unretained(4);
+        let mut point = 0u64;
+        let mut route_both = |linear: &mut ShardRouter, bvh: &mut ShardRouter, n: u64| {
+            for _ in 0..n {
+                let i = point;
+                point += 1;
+                let p = Point::new((i as f64 * 7.3) % 100.0, (i as f64 * 3.1) % 100.0);
+                let a = linear.route(inst(i, p.x, p.y));
+                let b = bvh.route(inst(i, p.x, p.y));
+                assert_eq!(a, b, "targets diverged at {p:?} (step {i})");
             }
         };
-        let mut linear = router(4, usize::MAX);
-        let mut bvh = router(4, 1);
-        subscribe_all(&mut linear);
-        subscribe_all(&mut bvh);
-        for i in 0..200u64 {
-            let p = Point::new((i as f64 * 7.3) % 100.0, (i as f64 * 3.1) % 100.0);
-            let a = linear.route(inst(i, p.x, p.y));
-            let b = bvh.route(inst(i, p.x, p.y));
-            assert_eq!(a, b, "targets diverged at {p:?}");
+        for i in 0..24u64 {
+            for r in [&mut linear, &mut bvh] {
+                r.subscribe(PlanId(i), square(i), None, hint);
+            }
+            route_both(&mut linear, &mut bvh, 10);
+            if i % 3 == 2 {
+                // Widen an earlier plan toward the far corner.
+                let far = rect_scope(44.0 - i as f64, 2.0, 47.0 - i as f64, 5.0);
+                for r in [&mut linear, &mut bvh] {
+                    r.add_scope(PlanId(i - 2), far.clone(), None);
+                }
+                route_both(&mut linear, &mut bvh, 10);
+            }
+            if i % 5 == 4 {
+                // Retire a plan: the index shrinks (below the threshold
+                // at first, so the BVH is dropped and rebuilt later).
+                let home = linear.unsubscribe(PlanId(i - 1));
+                assert!(home.is_some());
+                assert_eq!(bvh.unsubscribe(PlanId(i - 1)), home);
+                route_both(&mut linear, &mut bvh, 10);
+            }
         }
+        route_both(&mut linear, &mut bvh, 200);
         let lm = linear.take_metrics();
         let bm = bvh.take_metrics();
         assert_eq!(lm.fanout, bm.fanout);
         assert_eq!(lm.precision_skipped, bm.precision_skipped);
+        assert!(lm.precision_skipped > 0, "the gaps between squares prune");
         assert_eq!(lm.bvh_nodes_visited, 0, "linear side never descends");
         assert!(bm.bvh_nodes_visited > 0, "the BVH side reports its cost");
     }

@@ -9,7 +9,9 @@
 //! and publishes a processed-message counter:
 //!
 //! * The worker thread waits for input, locks the worker, and drains
-//!   the queue — popping **only while holding the worker lock**.
+//!   the queue — popping **only while holding the worker lock**. A
+//!   send wakes the parked worker once the queue is half full, so it is
+//!   normally draining before the queue could fill.
 //! * The engine skips a shard whose published counter already equals
 //!   what the engine sent it (a *clean* shard: zero cross-thread
 //!   traffic, not even a lock).
@@ -33,6 +35,8 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 struct Queue {
     messages: VecDeque<ShardMessage>,
     closed: bool,
+    /// The worker thread is waiting on `not_empty`.
+    parked: bool,
 }
 
 /// One shard's input queue, worker, and progress counters.
@@ -61,6 +65,7 @@ impl ShardSlot {
             queue: Mutex::new(Queue {
                 messages: VecDeque::new(),
                 closed: false,
+                parked: false,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -81,22 +86,22 @@ impl ShardSlot {
         self.held.load(Ordering::Acquire)
     }
 
-    /// Enqueues a message. Sends below capacity cost one uncontended
-    /// lock and **no wakeup**: the worker is only notified when the
-    /// queue fills (amortizing thread wakeups over `capacity` messages)
-    /// or at close — in between, barriers and checkpoints steal the
-    /// backlog inline. On a full queue the engine races the worker for
-    /// the drain: if the worker is already draining (holds its lock)
-    /// the engine waits for room, otherwise the engine — already
-    /// running, no context switch — drains the backlog itself.
+    /// Enqueues a message. A send costs one uncontended lock; it wakes
+    /// a parked worker once the queue holds half its capacity
+    /// (amortizing thread wakeups over `capacity / 2` messages), so the
+    /// worker is normally already draining by the time the queue could
+    /// fill — below that, barriers and checkpoints steal the backlog
+    /// inline. On a full queue the engine races the worker for the
+    /// drain: if the worker is already draining (holds its lock) the
+    /// engine waits for room, otherwise — no worker is running — the
+    /// engine, already running, drains the backlog itself.
     pub(crate) fn send(&self, message: ShardMessage) {
         let mut message = Some(message);
         loop {
             {
-                let mut q = self.queue.lock().expect("shard worker panicked");
+                let q = self.queue.lock().expect("shard worker panicked");
                 if q.messages.len() < self.capacity {
-                    q.messages
-                        .push_back(message.take().expect("message unsent"));
+                    self.enqueue(q, message.take().expect("message unsent"));
                     return;
                 }
             }
@@ -122,14 +127,25 @@ impl ShardSlot {
     /// and hands the message back for the caller to drop or force
     /// through.
     pub(crate) fn try_send(&self, message: ShardMessage) -> Result<(), ShardMessage> {
-        let mut q = self.queue.lock().expect("shard worker panicked");
+        let q = self.queue.lock().expect("shard worker panicked");
         if q.messages.len() >= self.capacity {
             drop(q);
             self.not_empty.notify_one();
             return Err(message);
         }
-        q.messages.push_back(message);
+        self.enqueue(q, message);
         Ok(())
+    }
+
+    /// Appends under the held queue lock and wakes a parked worker once
+    /// the queue holds half its capacity — a fixed rule, not a knob.
+    fn enqueue(&self, mut q: MutexGuard<'_, Queue>, message: ShardMessage) {
+        q.messages.push_back(message);
+        if q.parked && q.messages.len() >= self.capacity.div_ceil(2) {
+            q.parked = false;
+            drop(q);
+            self.not_empty.notify_one();
+        }
     }
 
     /// Closes the queue: the worker thread drains what is left, runs
@@ -206,7 +222,9 @@ impl ShardSlot {
             {
                 let mut q = self.queue.lock().expect("engine panicked");
                 while q.messages.is_empty() && !q.closed {
+                    q.parked = true;
                     q = self.not_empty.wait(q).expect("engine panicked");
+                    q.parked = false;
                 }
                 if q.messages.is_empty() && q.closed {
                     break;

@@ -1,6 +1,6 @@
 //! Shard workers: reorder, evaluate, notify.
 
-use crate::batch::{Batch, ItemPayload};
+use crate::batch::{Batch, ItemPayload, SoleEntity};
 use crate::config::ShardId;
 use crate::metrics::ShardMetrics;
 use crate::plan::PlanId;
@@ -16,8 +16,8 @@ use stem_cep::{CompositeDetector, ReorderBuffer, SustainedDetector, SustainedEve
 use stem_core::codec::{self, CodecError, CodecResult, StateCodec};
 use stem_core::timing::{Clock, SpanToken};
 use stem_core::{
-    Bindings, CcuId, ConditionExpr, ConditionObserver, Constituent, DropVerdict, EntityName,
-    EventDefinition, EventId, EventInstance, Layer, ObserverId, Provenance, StageStamps, TraceId,
+    CcuId, ConditionExpr, ConditionObserver, Constituent, DropVerdict, EntityView, EventDefinition,
+    EventId, EventInstance, Layer, ObserverId, Provenance, StageStamps, TraceId,
 };
 use stem_obs::{ObsRegistry, Recorder, Stage, TraceConstituent, TraceRecord};
 use stem_snap::ShardSnapshot;
@@ -193,11 +193,9 @@ pub(crate) struct SubscriptionState {
     layers: Option<Vec<Layer>>,
     /// The per-instance condition (for `Plain` / `Sustained`; a pattern
     /// subscription's condition lives inside its detector where it is
-    /// evaluated over the match's bindings).
+    /// evaluated over the match's bindings). Every entity it names is
+    /// bound to the candidate instance.
     condition: Option<ConditionExpr>,
-    /// Entity names the condition binds (all bound to the candidate
-    /// instance).
-    entities: Vec<EntityName>,
     kind: EvalKind,
     sink: Box<dyn EventSink>,
     /// Notifications delivered to this subscription's sink so far.
@@ -251,10 +249,6 @@ impl SubscriptionState {
         } else {
             (EvalKind::Plain, sub.condition)
         };
-        let entities = condition
-            .as_ref()
-            .map(ConditionExpr::entity_names)
-            .unwrap_or_default();
         SubscriptionState {
             id,
             plan,
@@ -264,7 +258,6 @@ impl SubscriptionState {
             event_filter: sub.event_filter,
             layers: sub.layers,
             condition,
-            entities,
             kind,
             sink: sub.sink,
             delivered: 0,
@@ -299,7 +292,6 @@ struct PlanState {
     event_filter: Option<EventId>,
     layers: Option<Vec<Layer>>,
     condition: Option<ConditionExpr>,
-    entities: Vec<EntityName>,
     kind: EvalKind,
     subscribers: Vec<Subscriber>,
 }
@@ -314,7 +306,6 @@ impl PlanState {
             event_filter: state.event_filter,
             layers: state.layers,
             condition: state.condition,
-            entities: state.entities,
             kind: state.kind,
             subscribers: vec![Subscriber {
                 id: state.id,
@@ -346,21 +337,13 @@ enum PlanOutcome {
     Sustained(Option<(SustainedEvent, Vec<Constituent>)>),
 }
 
-/// Evaluates a per-instance condition with every entity bound to the
-/// instance. `None` when evaluation errored.
-fn eval_condition(
-    condition: &Option<ConditionExpr>,
-    entities: &[EntityName],
-    instance: &EventInstance,
-) -> Option<bool> {
-    let Some(cond) = condition else {
-        return Some(true);
-    };
-    let mut bindings = Bindings::new();
-    for name in entities {
-        bindings.bind(name.clone(), instance.entity_data());
-    }
-    cond.eval(&bindings).ok()
+/// Evaluates a per-instance condition against the payload's columns,
+/// every entity bound to the instance. `None` when evaluation errored.
+fn holds(condition: &Option<ConditionExpr>, payload: &ItemPayload) -> Option<bool> {
+    condition
+        .as_ref()
+        .map_or(Ok(true), |c| c.eval(&SoleEntity(payload)))
+        .ok()
 }
 
 /// Trace bookkeeping riding one reorder-buffer item: the operation's
@@ -388,9 +371,10 @@ struct ItemMeta {
 enum StreamItem {
     /// An instance to evaluate at its time (ingest-provided, defaulting
     /// to the generation time). The payload stays columnar end to end
-    /// when it arrived columnar: the filter pass reads the batch's
-    /// columns and a standalone instance is only materialized for rows
-    /// that actually match a subscription.
+    /// when it arrived columnar: the filter pass, condition evaluation
+    /// and the WAL read the batch's columns, and a standalone instance
+    /// is only materialized for rows that notify (or feed a pattern
+    /// detector).
     Instance(TimePoint, ItemPayload, ItemMeta),
     /// A queued silence probe: probes travel through the same reorder
     /// buffer as instances — feeding the sustained detector directly on
@@ -424,11 +408,8 @@ fn encode_stream_item(item: &StreamItem, buf: &mut Vec<u8>) {
             codec::encode_time_point(*at, buf);
             codec::put_u64(buf, meta.seq);
             // Snapshots always hold standalone instances (columnar rows
-            // materialize bit-identically), keeping the format stable.
-            match payload {
-                ItemPayload::Owned(instance) => codec::encode_instance(instance, buf),
-                columnar => codec::encode_instance(&columnar.to_instance(), buf),
-            }
+            // encode bit-identically), keeping the format stable.
+            payload.encode_instance(buf);
         }
         StreamItem::Probe { id, at, seq } => {
             codec::put_u8(buf, ITEM_TAG_PROBE);
@@ -592,9 +573,23 @@ pub(crate) struct ShardWorker {
     /// of the event buckets (small resident sets; also what a BVH
     /// degenerates to).
     sub_bvh: Option<Bvh>,
+    /// The candidate index above is stale: a plan was created or
+    /// retired since it was built. Dispatch rebuilds it once, so a
+    /// burst of registrations costs one build instead of one per plan.
+    index_dirty: bool,
     /// Candidate buffer reused across BVH dispatch queries.
     cand_scratch: Vec<u32>,
+    /// Per-dispatch plan outcomes, reused across dispatches.
+    memo_scratch: Vec<(u32, PlanOutcome)>,
+    /// Reorder-buffer releases, reused across release waves.
+    release_scratch: Vec<StreamItem>,
+    /// A batch's fresh (not yet durable) items, reused across batches.
+    fresh_scratch: Vec<FreshItem>,
 }
+
+/// One batch item cleared for evaluation: `(eval_at,
+/// prefix_high_water, payload, meta)`.
+type FreshItem = (Option<TimePoint>, Option<TimePoint>, ItemPayload, ItemMeta);
 
 impl ShardWorker {
     pub(crate) fn new(
@@ -630,7 +625,11 @@ impl ShardWorker {
             by_event: BTreeMap::new(),
             wildcard: Vec::new(),
             sub_bvh: None,
+            index_dirty: false,
             cand_scratch: Vec::new(),
+            memo_scratch: Vec::new(),
+            release_scratch: Vec::new(),
+            fresh_scratch: Vec::new(),
         }
     }
 
@@ -640,18 +639,17 @@ impl ShardWorker {
     const DISPATCH_BVH_THRESHOLD: usize = 16;
 
     /// Rebuilds the filter-pass candidate index (bbox column + event
-    /// buckets + the dispatch BVH on dense shards) and the plan-id
-    /// lookup. Runs when a plan is created or retired — registration is
+    /// buckets + the dispatch BVH on dense shards). Runs at the first
+    /// dispatch after a plan was created or retired — registration is
     /// cold, dispatch is hot, and adding a subscriber to an existing
     /// plan changes none of it.
     fn rebuild_filter_index(&mut self) {
+        self.index_dirty = false;
         self.plan_bboxes.clear();
         self.plan_bboxes.extend(self.plans.iter().map(|p| p.bbox));
         self.by_event.clear();
         self.wildcard.clear();
-        self.plan_index.clear();
         for (idx, plan) in self.plans.iter().enumerate() {
-            self.plan_index.insert(plan.id.raw(), idx);
             match &plan.event_filter {
                 Some(event) => self.by_event.entry(event.clone()).or_default().push(idx),
                 None => self.wildcard.push(idx),
@@ -755,8 +753,9 @@ impl ShardWorker {
                         delivered: state.delivered,
                     }),
                     None => {
+                        self.plan_index.insert(state.plan.raw(), self.plans.len());
                         self.plans.push(PlanState::new(*state));
-                        self.rebuild_filter_index();
+                        self.index_dirty = true;
                     }
                 }
             }
@@ -774,7 +773,11 @@ impl ShardWorker {
                     }
                 }
                 if retired_plan {
-                    self.rebuild_filter_index();
+                    // Retiring shifts later plans down one slot.
+                    self.plan_index = (self.plans.iter().enumerate())
+                        .map(|(idx, plan)| (plan.id.raw(), idx))
+                        .collect();
+                    self.index_dirty = true;
                 }
             }
             ShardMessage::SilenceProbe {
@@ -817,10 +820,17 @@ impl ShardWorker {
     /// makes the log write-ahead: a crash between append and evaluation
     /// re-evaluates on recovery, never loses the record.
     fn wal_append(&mut self, record: &WalRecord) {
+        self.wal_append_with(record.durable_seq(), |buf| record.encode(buf));
+    }
+
+    /// [`ShardWorker::wal_append`] for a record `encode` writes
+    /// directly; `durable` is what the record proves durable
+    /// ([`WalRecord::durable_seq`]).
+    fn wal_append_with(&mut self, durable: Option<u64>, encode: impl FnOnce(&mut Vec<u8>)) {
         let Some(wal) = self.wal.as_mut() else {
             return;
         };
-        wal.append_deferred(record)
+        wal.append_encoded_deferred(encode)
             .unwrap_or_else(|e| panic!("shard {} wal append failed: {e}", self.shard));
         self.since_checkpoint += 1;
         // A checkpoint's seq is an *inclusive* durable claim, so it is
@@ -828,7 +838,7 @@ impl ShardWorker {
         // exclusive prefix bound); a record proving nothing durable
         // defers the checkpoint to the next append.
         if self.since_checkpoint >= self.checkpoint_every {
-            if let Some(durable) = record.durable_seq() {
+            if let Some(durable) = durable {
                 self.since_checkpoint = 0;
                 let checkpoint = WalRecord::Watermark {
                     seq: durable,
@@ -889,8 +899,7 @@ impl ShardWorker {
         } else {
             None
         };
-        let mut fresh: Vec<(Option<TimePoint>, Option<TimePoint>, ItemPayload, ItemMeta)> =
-            Vec::with_capacity(batch.instances.len());
+        let mut fresh = std::mem::take(&mut self.fresh_scratch);
         for item in batch.instances {
             if self.durable_seq.is_some_and(|d| item.seq <= d) {
                 // Post-recovery resume overlap: the log already held
@@ -906,44 +915,18 @@ impl ShardWorker {
                 enqueue: batch.enqueue,
                 release: 0,
             };
-            if self.wal.is_none() {
-                fresh.push((item.eval_at, item.prefix_high_water, item.payload, meta));
-                continue;
-            }
-            match item.payload {
-                ItemPayload::Owned(instance) => {
-                    // Move the instance into the record and back out: the
-                    // durable path never clones it.
-                    let record = WalRecord::Instance {
-                        seq: item.seq,
-                        eval_at: item.eval_at,
-                        prefix_high_water: item.prefix_high_water,
-                        instance,
-                    };
-                    self.wal_append(&record);
-                    let WalRecord::Instance { instance, .. } = record else {
-                        unreachable!("constructed above")
-                    };
-                    fresh.push((
-                        item.eval_at,
-                        item.prefix_high_water,
-                        ItemPayload::Owned(instance),
-                        meta,
-                    ));
-                }
-                payload => {
-                    // A shared copy or columnar row materializes a
-                    // standalone instance for the log; the payload
-                    // itself continues to evaluation.
-                    self.wal_append(&WalRecord::Instance {
-                        seq: item.seq,
-                        eval_at: item.eval_at,
-                        prefix_high_water: item.prefix_high_water,
-                        instance: payload.to_instance(),
-                    });
-                    fresh.push((item.eval_at, item.prefix_high_water, payload, meta));
-                }
-            }
+            // The record is encoded straight from the payload (a
+            // columnar row never materializes for the log).
+            self.wal_append_with(Some(item.seq), |buf| {
+                WalRecord::encode_instance_with(
+                    item.seq,
+                    item.eval_at,
+                    item.prefix_high_water,
+                    buf,
+                    |buf| item.payload.encode_instance(buf),
+                );
+            });
+            fresh.push((item.eval_at, item.prefix_high_water, item.payload, meta));
         }
         if let Some(hw) = batch.high_water {
             self.wal_note_heartbeat(batch.seq, hw);
@@ -956,29 +939,37 @@ impl ShardWorker {
         };
         self.wal_commit();
         self.obs_acc(Stage::WalFsync, fsync_token);
-        for (eval_at, prefix_high_water, payload, meta) in fresh {
+        for (eval_at, prefix_high_water, payload, meta) in fresh.drain(..) {
             // Replaying the global watermark before each push keeps
             // accept/late-drop decisions identical to a 1-shard run
             // even when disorder exceeds the slack.
             if let Some(hw) = prefix_high_water {
-                let token = self.obs_start();
-                let released = self.reorder.observe(hw);
-                self.obs_acc(Stage::ReorderRelease, token);
-                self.dispatch_all(released);
+                self.step_reorder(true, |r, out| r.observe_into(hw, out));
             }
             let key = eval_at.unwrap_or_else(|| payload.generation_time());
-            let token = self.obs_start();
-            let released = self.push_instance(key, payload, meta);
-            self.obs_acc(Stage::ReorderRelease, token);
-            self.dispatch_all(released);
+            self.push_instance(key, payload, meta, true);
         }
+        self.fresh_scratch = fresh;
         if let Some(hw) = batch.high_water {
-            let token = self.obs_start();
-            let released = self.reorder.observe(hw);
-            self.obs_acc(Stage::ReorderRelease, token);
-            self.dispatch_all(released);
+            self.step_reorder(true, |r, out| r.observe_into(hw, out));
         }
         self.obs_flush(false);
+    }
+
+    /// Runs one reorder-buffer step into the reused release buffer and
+    /// dispatches what it released, in order. `timed` bills the step
+    /// itself (not the dispatch) to the `reorder_release` stage.
+    fn step_reorder(
+        &mut self,
+        timed: bool,
+        step: impl FnOnce(&mut ReorderBuffer<StreamItem>, &mut Vec<StreamItem>),
+    ) {
+        let mut released = std::mem::take(&mut self.release_scratch);
+        let token = if timed { self.obs_start() } else { None };
+        step(&mut self.reorder, &mut released);
+        self.obs_acc(Stage::ReorderRelease, token);
+        self.dispatch_all(&mut released);
+        self.release_scratch = released;
     }
 
     /// Crash recovery: restores the newest valid snapshot (when one was
@@ -1042,22 +1033,17 @@ impl ShardWorker {
                     instance,
                 } => {
                     if let Some(hw) = prefix_high_water {
-                        let released = self.reorder.observe(hw);
-                        self.dispatch_all(released);
+                        self.step_reorder(false, |r, out| r.observe_into(hw, out));
                     }
                     let key = eval_at.unwrap_or_else(|| instance.generation_time());
                     // Replayed records keep their trace identity but
                     // zero pre-release stamps: the recovered run's fresh
                     // clock restarts near zero.
-                    let released = self.push_instance(
-                        key,
-                        ItemPayload::Owned(instance),
-                        ItemMeta {
-                            seq,
-                            ..ItemMeta::default()
-                        },
-                    );
-                    self.dispatch_all(released);
+                    let meta = ItemMeta {
+                        seq,
+                        ..ItemMeta::default()
+                    };
+                    self.push_instance(key, ItemPayload::Owned(instance), meta, false);
                 }
                 WalRecord::Probe {
                     seq,
@@ -1070,8 +1056,7 @@ impl ShardWorker {
                     // not depend on heartbeat records (which are only
                     // appended when the mark advances).
                     if let Some(hw) = prefix_high_water {
-                        let released = self.reorder.observe(hw);
-                        self.dispatch_all(released);
+                        self.step_reorder(false, |r, out| r.observe_into(hw, out));
                     }
                     self.enqueue_probe(SubscriptionId(subscription), at, seq);
                 }
@@ -1080,8 +1065,7 @@ impl ShardWorker {
                         self.logged_high_water
                             .map_or(high_water, |h| h.max(high_water)),
                     );
-                    let released = self.reorder.observe(high_water);
-                    self.dispatch_all(released);
+                    self.step_reorder(false, |r, out| r.observe_into(high_water, out));
                 }
                 // Checkpoints are markers for the recovery *reader*;
                 // they carry no stream state to rebuild.
@@ -1259,27 +1243,26 @@ impl ShardWorker {
     /// buffer's late-drop rule (`key < watermark`) beforehand so a drop
     /// is recorded with a `Late` verdict — the buffer itself only
     /// counts.
-    fn push_instance(
-        &mut self,
-        key: TimePoint,
-        payload: ItemPayload,
-        meta: ItemMeta,
-    ) -> Vec<StreamItem> {
+    fn push_instance(&mut self, key: TimePoint, payload: ItemPayload, meta: ItemMeta, timed: bool) {
         if let Some(wt) = self.trace.as_mut() {
             if self.reorder.watermark().is_some_and(|w| key < w) {
                 note_drop(wt, self.shard, TraceId(meta.seq), DropVerdict::Late);
             }
         }
-        self.reorder
-            .push_at(key, StreamItem::Instance(key, payload, meta))
+        let item = StreamItem::Instance(key, payload, meta);
+        self.step_reorder(timed, |r, out| r.push_at_into(key, item, out));
     }
 
-    fn dispatch_all(&mut self, released: Vec<StreamItem>) {
+    /// Dispatches (and empties) one release wave.
+    fn dispatch_all(&mut self, released: &mut Vec<StreamItem>) {
+        if released.is_empty() {
+            return;
+        }
         // One release stamp per release wave: every item the watermark
         // freed together left the reorder buffer at the same moment,
         // and a clock read per item is measurable on the hot path.
         let release = self.trace.as_ref().map_or(0, |wt| wt.clock.now());
-        for item in released {
+        for item in released.drain(..) {
             match item {
                 StreamItem::Instance(at, payload, mut meta) => {
                     if let Some(wt) = self.trace.as_mut() {
@@ -1296,7 +1279,7 @@ impl ShardWorker {
                             });
                         }
                     }
-                    self.dispatch(at, &payload, meta);
+                    self.dispatch(at, payload, meta);
                 }
                 StreamItem::Probe { id, at, seq } => {
                     let mut meta = ItemMeta {
@@ -1326,9 +1309,9 @@ impl ShardWorker {
     /// detector ONCE (memoized per dispatch) and fanning its output out
     /// to the matched subscribers in global registration order — so the
     /// delivery stream is bit-identical to evaluating one detector per
-    /// subscription. A columnar payload is only materialized into a
-    /// standalone instance when the filter pass matched something, so
-    /// non-matching rows never touch the attribute arena. The split is
+    /// subscription. Plain and sustained conditions read the payload's
+    /// columns; a standalone instance is built once per row that
+    /// notifies, and the row's last delivery takes it by move. The split is
     /// what lets the filter cost (`scope_prune`) and the evaluation
     /// cost (`evaluate`) be timed as separate stages; it is
     /// behavior-preserving because the filters never read state the
@@ -1337,7 +1320,10 @@ impl ShardWorker {
     /// candidate must additionally be a spatial hit, so the counter's
     /// absolute value depends on which index served the dispatch; only
     /// its being nonzero is portable.)
-    fn dispatch(&mut self, at: TimePoint, payload: &ItemPayload, meta: ItemMeta) {
+    fn dispatch(&mut self, at: TimePoint, payload: ItemPayload, meta: ItemMeta) {
+        if self.index_dirty {
+            self.rebuild_filter_index();
+        }
         let location = payload.representative();
         let layer = payload.layer();
         let shard = self.shard;
@@ -1386,7 +1372,10 @@ impl ShardWorker {
             }
         }
         let mut scope_pruned = false;
-        for &cand in &cands {
+        // `cands` is compacted in place to the plans that matched.
+        let mut hit_plans = 0;
+        for i in 0..cands.len() {
+            let cand = cands[i];
             let idx = cand as usize;
             let plan = &self.plans[idx];
             if via_bvh {
@@ -1430,9 +1419,12 @@ impl ShardWorker {
             };
             if !plan_passes {
                 matched.truncate(gate_from);
+            } else if matched.len() > gate_from {
+                cands[hit_plans] = cand;
+                hit_plans += 1;
             }
         }
-        self.cand_scratch = cands;
+        cands.truncate(hit_plans);
         // Global registration order: the fan-out below must deliver in
         // exactly the order one-detector-per-subscription dispatch did,
         // however subscribers interleave across plans.
@@ -1459,147 +1451,62 @@ impl ShardWorker {
         } else {
             self.trace.as_ref().map_or(0, |wt| wt.clock.now())
         };
-        // One materialization per matched item, shared by every matched
-        // plan; owned payloads evaluate in place.
-        let materialized;
-        let instance: &EventInstance = match payload {
-            ItemPayload::Owned(instance) => instance,
-            ItemPayload::Shared(instance) => instance,
-            columnar if !matched.is_empty() => {
-                materialized = columnar.to_instance();
-                &materialized
-            }
-            _ => {
-                self.obs_acc(Stage::Evaluate, eval_token);
-                matched.clear();
-                self.match_scratch = matched;
-                return;
-            }
-        };
         let shard32 = u32::try_from(shard).unwrap_or(u32::MAX);
-        // Each plan evaluates once per dispatch, at its first matched
-        // subscriber; the memo serves the rest. Matched plans per
-        // instance are few, so a linear-scanned pair list beats a map.
-        let mut memo: Vec<(u32, PlanOutcome)> = Vec::new();
-        for &(_, cand, member) in &matched {
+        // Each matched plan evaluates once, in plan order (plans share
+        // no state, so this is the order-free half); conditions
+        // read the payload's columns, and only pattern detectors — which
+        // store instances — see a materialized one.
+        let mut memo = std::mem::take(&mut self.memo_scratch);
+        let mut materialized: Option<EventInstance> = None;
+        for &cand in &cands {
+            let outcome = self.evaluate_plan(cand as usize, at, &payload, &mut materialized, meta);
+            memo.push((cand, outcome));
+        }
+        self.cand_scratch = cands;
+        // A passing plain row becomes an instance once, before its first
+        // delivery; the last delivery takes it by move.
+        let outcome_of = |cand: u32| &memo.iter().find(|(c, _)| *c == cand).expect("evaluated").1;
+        let is_pass = |o: &PlanOutcome| matches!(o, PlanOutcome::PlainPass);
+        let last_pass = if memo.iter().any(|(_, o)| is_pass(o)) {
+            matched
+                .iter()
+                .rposition(|&(_, cand, _)| is_pass(outcome_of(cand)))
+        } else {
+            None
+        };
+        let mut instance =
+            last_pass.map(|_| materialized.unwrap_or_else(|| payload.into_instance()));
+        for (i, &(_, cand, member)) in matched.iter().enumerate() {
             let plan_idx = cand as usize;
-            let outcome = match memo.iter().position(|(c, _)| *c == cand) {
-                Some(i) => &memo[i].1,
-                None => {
-                    let plan = &mut self.plans[plan_idx];
-                    let outcome = match &mut plan.kind {
-                        EvalKind::Plain => {
-                            match eval_condition(&plan.condition, &plan.entities, instance) {
-                                Some(true) => PlanOutcome::PlainPass,
-                                Some(false) => PlanOutcome::PlainFail,
-                                None => PlanOutcome::Error,
-                            }
-                        }
-                        EvalKind::Pattern(detector) => {
-                            // The trace tag threads through the pattern
-                            // store so each completed match comes back
-                            // with the ingest sequences of every
-                            // constituent it bound.
-                            match detector.process_traced_at(instance, at, meta.seq) {
-                                Ok(derived) => PlanOutcome::Derived(
-                                    derived
-                                        .into_iter()
-                                        .map(|(d, tags)| {
-                                            let constituents = tags
-                                                .iter()
-                                                .map(|&(tag, seq)| Constituent {
-                                                    trace: TraceId(tag),
-                                                    shard: shard32,
-                                                    seq,
-                                                })
-                                                .collect();
-                                            (d, constituents)
-                                        })
-                                        .collect(),
-                                ),
-                                Err(_) => PlanOutcome::Error,
-                            }
-                        }
-                        EvalKind::Sustained(state) => {
-                            let episode = match &state.value {
-                                SustainedValue::Attribute(attr) => {
-                                    match instance.attributes().get_f64(attr) {
-                                        Some(value) => {
-                                            state.last_input = Some(at);
-                                            let v = if state.negate { -value } else { value };
-                                            Some(state.detector.update_value(at, v))
-                                        }
-                                        None => None,
-                                    }
-                                }
-                                SustainedValue::DistanceTo(reference) => {
-                                    state.last_input = Some(at);
-                                    let d = location.distance(*reference);
-                                    let v = if state.negate { -d } else { d };
-                                    Some(state.detector.update_value(at, v))
-                                }
-                                SustainedValue::Condition => {
-                                    match eval_condition(&plan.condition, &plan.entities, instance)
-                                    {
-                                        Some(holds) => {
-                                            state.last_input = Some(at);
-                                            Some(state.detector.update(at, holds))
-                                        }
-                                        None => None,
-                                    }
-                                }
-                            };
-                            match episode {
-                                None => PlanOutcome::Error,
-                                Some(event) => {
-                                    if self.trace.is_some() {
-                                        // Every accepted sample (the
-                                        // arms above all set
-                                        // `last_input`) joins the
-                                        // episode's bounded constituent
-                                        // memory.
-                                        state.push_constituent(Constituent {
-                                            trace: TraceId(meta.seq),
-                                            shard: shard32,
-                                            seq: instance.seq().raw(),
-                                        });
-                                    }
-                                    PlanOutcome::Sustained(
-                                        event.map(|e| {
-                                            (e, state.constituents.iter().copied().collect())
-                                        }),
-                                    )
-                                }
-                            }
-                        }
-                    };
-                    memo.push((cand, outcome));
-                    &memo.last().expect("just pushed").1
-                }
-            };
             // Fan-out: re-attach this subscriber's identity (its own
             // subscription id, delivered count, provenance records) to
             // the memoized template output. Per-subscriber counters
             // match the unshared pipeline, which evaluated (and
             // errored) once per subscription.
             self.metrics.evaluated += 1;
-            match outcome {
+            match outcome_of(cand) {
                 PlanOutcome::Error => self.metrics.eval_errors += 1,
                 PlanOutcome::PlainFail | PlanOutcome::Sustained(None) => {}
                 PlanOutcome::PlainPass => {
                     let sub = &mut self.plans[plan_idx].subscribers[member as usize];
+                    let passed = instance.as_ref().expect("built for passing rows");
                     let provenance = self.trace.as_mut().map(|wt| {
                         let c = Constituent {
                             trace: TraceId(meta.seq),
                             shard: shard32,
-                            seq: instance.seq().raw(),
+                            seq: passed.seq().raw(),
                         };
                         notify_provenance(wt, shard, sub.id, vec![c], meta, evaluate)
                     });
+                    let passed = if Some(i) == last_pass {
+                        instance.take().expect("built for passing rows")
+                    } else {
+                        passed.clone()
+                    };
                     sub.sink.deliver(Notification {
                         subscription: sub.id,
                         shard,
-                        kind: NotificationKind::Match(instance.clone()),
+                        kind: NotificationKind::Match(passed),
                         provenance,
                     });
                     self.metrics.notifications += 1;
@@ -1647,8 +1554,99 @@ impl ShardWorker {
             }
         }
         self.obs_acc(Stage::Evaluate, eval_token);
+        memo.clear();
+        self.memo_scratch = memo;
         matched.clear();
         self.match_scratch = matched;
+    }
+
+    /// Runs plan `idx`'s evaluator once against a released payload at
+    /// observer-local time `at`. `materialized` caches the standalone
+    /// instance a columnar row becomes for pattern detectors (plain and
+    /// sustained plans read the columns).
+    fn evaluate_plan(
+        &mut self,
+        idx: usize,
+        at: TimePoint,
+        payload: &ItemPayload,
+        materialized: &mut Option<EventInstance>,
+        meta: ItemMeta,
+    ) -> PlanOutcome {
+        let shard32 = u32::try_from(self.shard).unwrap_or(u32::MAX);
+        let tracing = self.trace.is_some();
+        let plan = &mut self.plans[idx];
+        match &mut plan.kind {
+            EvalKind::Plain => match holds(&plan.condition, payload) {
+                Some(true) => PlanOutcome::PlainPass,
+                Some(false) => PlanOutcome::PlainFail,
+                None => PlanOutcome::Error,
+            },
+            EvalKind::Pattern(detector) => {
+                let instance = match payload {
+                    ItemPayload::Owned(instance) => instance,
+                    ItemPayload::Shared(instance) => instance,
+                    columnar => materialized.get_or_insert_with(|| columnar.to_instance()),
+                };
+                // The trace tag threads through the pattern store so
+                // each completed match comes back with the ingest
+                // sequences of every constituent it bound.
+                match detector.process_traced_at(instance, at, meta.seq) {
+                    Ok(derived) => PlanOutcome::Derived(
+                        derived
+                            .into_iter()
+                            .map(|(d, tags)| {
+                                let constituents = tags
+                                    .iter()
+                                    .map(|&(tag, seq)| Constituent {
+                                        trace: TraceId(tag),
+                                        shard: shard32,
+                                        seq,
+                                    })
+                                    .collect();
+                                (d, constituents)
+                            })
+                            .collect(),
+                    ),
+                    Err(_) => PlanOutcome::Error,
+                }
+            }
+            EvalKind::Sustained(state) => {
+                // Every arm that yields a sample also stamps
+                // `last_input`.
+                let sample = match &state.value {
+                    SustainedValue::Attribute(attr) => payload.attr_f64(attr).map(|value| {
+                        state.last_input = Some(at);
+                        let v = if state.negate { -value } else { value };
+                        state.detector.update_value(at, v)
+                    }),
+                    SustainedValue::DistanceTo(reference) => {
+                        state.last_input = Some(at);
+                        let d = payload.representative().distance(*reference);
+                        let v = if state.negate { -d } else { d };
+                        Some(state.detector.update_value(at, v))
+                    }
+                    SustainedValue::Condition => holds(&plan.condition, payload).map(|h| {
+                        state.last_input = Some(at);
+                        state.detector.update(at, h)
+                    }),
+                };
+                let Some(event) = sample else {
+                    return PlanOutcome::Error;
+                };
+                if tracing {
+                    // Every accepted sample joins the episode's bounded
+                    // constituent memory.
+                    state.push_constituent(Constituent {
+                        trace: TraceId(meta.seq),
+                        shard: shard32,
+                        seq: payload.seq().raw(),
+                    });
+                }
+                PlanOutcome::Sustained(
+                    event.map(|e| (e, state.constituents.iter().copied().collect())),
+                )
+            }
+        }
     }
 
     /// Accepts a live silence probe: logs it write-ahead, then enqueues
@@ -1683,8 +1681,7 @@ impl ShardWorker {
         // separate heartbeat was delivered first — which is what lets
         // the engine suppress heartbeats to clean shards entirely.
         if let Some(hw) = prefix_high_water {
-            let released = self.reorder.observe(hw);
-            self.dispatch_all(released);
+            self.step_reorder(false, |r, out| r.observe_into(hw, out));
         }
         self.enqueue_probe(id, at, seq);
     }
@@ -1701,8 +1698,8 @@ impl ShardWorker {
             return;
         }
         self.probes += 1;
-        let released = self.reorder.push_at(at, StreamItem::Probe { id, at, seq });
-        self.dispatch_all(released);
+        let probe = StreamItem::Probe { id, at, seq };
+        self.step_reorder(false, |r, out| r.push_at_into(at, probe, out));
     }
 
     /// Feeds a sustained subscription its inactive sample if its input
@@ -1775,8 +1772,7 @@ impl ShardWorker {
     /// registration order — the order one-detector-per-subscription
     /// finalization delivered in.
     fn finalize(&mut self, at: TimePoint) {
-        let remaining = self.reorder.flush();
-        self.dispatch_all(remaining);
+        self.step_reorder(false, |r, out| out.extend(r.flush()));
         let shard = self.shard;
         let mut closed: Vec<(usize, SustainedEvent, Vec<Constituent>)> = Vec::new();
         for (idx, plan) in self.plans.iter_mut().enumerate() {
@@ -1823,8 +1819,7 @@ impl ShardWorker {
     /// Drains the reorder buffer, closes the log durably, and returns
     /// the final counters.
     pub(crate) fn finish(mut self) -> ShardMetrics {
-        let remaining = self.reorder.flush();
-        self.dispatch_all(remaining);
+        self.step_reorder(false, |r, out| out.extend(r.flush()));
         if let Some(wal) = self.wal.as_mut() {
             wal.sync()
                 .unwrap_or_else(|e| panic!("shard {} wal close failed: {e}", self.shard));

@@ -280,6 +280,42 @@ fn threaded_backpressure_block_is_lossless() {
     assert_eq!(report.total_late_dropped(), 0);
 }
 
+/// The handoff wakes a parked worker once its queue is half full: a
+/// threaded shard sent `capacity / 2` batches evaluates them on its own
+/// thread, with no `flush`, `sync` or `finish` to steal or close.
+#[test]
+fn half_full_queue_wakes_the_worker_without_a_barrier() {
+    const CAPACITY: usize = 8;
+    const BATCH: usize = 16;
+    let mut engine = Engine::start(
+        EngineConfig::new(bounds())
+            .with_batch_size(BATCH)
+            .with_queue_capacity(CAPACITY),
+    );
+    let (tx, rx) = std::sync::mpsc::channel();
+    engine.subscribe(Subscription::new(
+        "all",
+        SpatialExtent::field(Field::rect(bounds())),
+        Box::new(tx),
+    ));
+    // Exactly `CAPACITY / 2` full batches: the router hands each one off
+    // as it fills, and nothing else is sent.
+    let n = (CAPACITY / 2 * BATCH) as u64;
+    for i in 0..n {
+        engine.ingest(mk("reading", i, i, (i % 100) as f64, 50.0, 25.0));
+    }
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    for delivered in 0..n {
+        let left = deadline.saturating_duration_since(std::time::Instant::now());
+        assert!(
+            rx.recv_timeout(left).is_ok(),
+            "only {delivered} of {n} deliveries arrived: the worker never woke"
+        );
+    }
+    let report = engine.finish();
+    assert_eq!(report.total_notifications(), n);
+}
+
 #[test]
 fn metrics_account_for_the_stream() {
     let mut engine = Engine::start(

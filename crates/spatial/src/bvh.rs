@@ -1,55 +1,48 @@
 //! A small flat bounding-volume hierarchy over axis-aligned rectangles.
 //!
-//! The engine router's per-leaf interest index stores every resident
-//! subscription's scope rectangle and answers "which scopes cover this
-//! point?" on the ingest hot path. A linear scan is fine for a handful
-//! of scopes; past a few dozen the scan dominates routing. This BVH
-//! packs the rectangles into a flat node array (no pointer chasing, no
-//! allocation per query beyond the caller's candidate buffer) and turns
-//! the scan into an `O(log n)`-ish descent.
+//! The engine router's per-shard interest index and the shard workers'
+//! dispatch index store resident subscription scope rectangles and
+//! answer "which scopes cover this point?" once or twice per routed
+//! instance. A linear scan is fine for a handful of scopes; past a few
+//! dozen the scan dominates routing. This BVH turns the scan into an
+//! `O(log n)`-ish descent.
 //!
 //! Design constraints, in order:
 //!
-//! * **conservative** — a query must return every rectangle containing
-//!   the point (callers run an exact-geometry check on the candidates,
-//!   so false positives only cost time, never correctness);
-//! * **cheap to build** — top-down median split on the longest axis of
-//!   the centroid bounds, a few microseconds for hundreds of rects;
-//! * **incrementally insertable** — subscriptions register one at a
-//!   time; inserts descend by least bbox enlargement and split
-//!   overfull leaves in place, so registration never re-builds.
+//! * **conservative** — a query returns every rectangle containing the
+//!   point (callers run an exact-geometry check on the candidates, so
+//!   false positives only cost time, never correctness);
+//! * **allocation-free queries** — nodes and items live in two flat
+//!   arrays (each leaf is a range of the permuted item array), and the
+//!   descent keeps its pending nodes in a fixed inline stack, so a
+//!   query touches the heap only when the caller's output buffer grows;
+//! * **build-only** — the tree is bulk-built by a top-down median split
+//!   on the longest axis of the centroid spread (a few microseconds for
+//!   hundreds of rects). Owners that register rectangles one at a time
+//!   mark the index dirty and rebuild it once, at the next query, which
+//!   keeps the tree as tight as a bulk build: an incrementally grown
+//!   tree visited about three times as many nodes per point query.
 
 use crate::{Point, Rect};
 
-/// Rectangles per leaf before an insert splits it.
-const LEAF_CAPACITY: usize = 4;
+/// Rectangles per leaf.
+const LEAF_SIZE: usize = 4;
 
-/// One node of the flat hierarchy.
-#[derive(Debug, Clone)]
-enum Node {
-    /// An internal node: bbox of both children.
-    Internal {
-        bbox: Rect,
-        left: usize,
-        right: usize,
-    },
-    /// A leaf holding item indices into the item table.
-    Leaf { bbox: Rect, items: Vec<u32> },
-}
-
-impl Node {
-    fn bbox(&self) -> Rect {
-        match self {
-            Node::Internal { bbox, .. } | Node::Leaf { bbox, .. } => *bbox,
-        }
-    }
+/// One node of the flat hierarchy, in depth-first order: an internal
+/// node's left child is the next node, its right child is `start`.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    bbox: Rect,
+    /// Leaf: first entry of its item range. Internal: right child.
+    start: u32,
+    /// Leaf: item count (>= 1). Internal: 0.
+    count: u32,
 }
 
 /// A flat BVH over rectangles, queried by point or rectangle.
 ///
-/// Items are addressed by the dense index assigned at [`Bvh::build`] /
-/// [`Bvh::insert`] order; callers keep the payloads in a parallel
-/// vector.
+/// Items are addressed by their index in the slice given to
+/// [`Bvh::build`]; callers keep the payloads in a parallel vector.
 ///
 /// # Example
 ///
@@ -68,12 +61,19 @@ impl Node {
 #[derive(Debug, Clone, Default)]
 pub struct Bvh {
     nodes: Vec<Node>,
-    /// The indexed rectangles, by item index.
-    rects: Vec<Rect>,
-    root: Option<usize>,
+    /// `(rect, item index)`, permuted so every leaf owns a contiguous
+    /// range.
+    entries: Vec<(Rect, u32)>,
+    /// Nodes on the longest root-to-leaf path.
+    depth: usize,
 }
 
 impl Bvh {
+    /// Capacity of the inline traversal stack. A descent holds at most
+    /// one pending sibling per level, and a median split halves the item
+    /// count per level, so `u32`-indexed item sets stay far below it.
+    const STACK_DEPTH: usize = 64;
+
     /// An empty hierarchy.
     #[must_use]
     pub fn new() -> Self {
@@ -81,242 +81,123 @@ impl Bvh {
     }
 
     /// Builds a hierarchy over `rects` (item `i` is `rects[i]`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rects` holds more than `u32::MAX` rectangles.
     #[must_use]
     pub fn build(rects: &[Rect]) -> Self {
+        let n = u32::try_from(rects.len()).expect("at most u32::MAX rectangles");
         let mut bvh = Bvh {
-            nodes: Vec::new(),
-            rects: rects.to_vec(),
-            root: None,
+            nodes: Vec::with_capacity((2 * rects.len()).div_ceil(LEAF_SIZE)),
+            entries: rects.iter().copied().zip(0..n).collect(),
+            depth: 0,
         };
-        if rects.is_empty() {
-            return bvh;
+        if !rects.is_empty() {
+            bvh.depth = bvh.build_node(0, rects.len());
         }
-        let mut items: Vec<u32> = (0..rects.len() as u32).collect();
-        let root = bvh.build_node(&mut items);
-        bvh.root = Some(root);
+        assert!(bvh.depth <= Self::STACK_DEPTH, "median split depth bound");
         bvh
     }
 
     /// Number of indexed rectangles.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.rects.len()
+        self.entries.len()
     }
 
     /// Whether the hierarchy indexes nothing.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.rects.is_empty()
+        self.entries.is_empty()
     }
 
-    /// The rectangle stored for item `index`.
-    #[must_use]
-    pub fn rect(&self, index: u32) -> Rect {
-        self.rects[index as usize]
-    }
-
-    /// Recursively packs `items` (indices into `self.rects`) into nodes
-    /// by median-splitting along the longest axis of the centroid
-    /// bounds, and returns the subtree root's node index.
-    fn build_node(&mut self, items: &mut [u32]) -> usize {
-        let bbox = self.bbox_of(items);
-        if items.len() <= LEAF_CAPACITY {
-            self.nodes.push(Node::Leaf {
+    /// Packs `entries[start..end]` into a subtree rooted at the next
+    /// node index by median-splitting along the longest axis of the
+    /// centroid spread, and returns the subtree's depth. A degenerate
+    /// spread (all centroids coincident) still splits by position, so
+    /// recursion always terminates and depth stays logarithmic.
+    fn build_node(&mut self, start: usize, end: usize) -> usize {
+        let items = &mut self.entries[start..end];
+        let bbox = items[1..]
+            .iter()
+            .fold(items[0].0, |acc, (r, _)| acc.union(r));
+        let node = self.nodes.len();
+        if items.len() <= LEAF_SIZE {
+            self.nodes.push(Node {
                 bbox,
-                items: items.to_vec(),
+                start: start as u32,
+                count: items.len() as u32,
             });
-            return self.nodes.len() - 1;
+            return 1;
         }
-        // Median split on the longest axis of the centroid spread; a
-        // degenerate spread (all centroids coincident) still splits by
-        // index, so recursion always terminates.
-        let centroid = |r: &Rect| r.center();
-        let wide = {
-            let xs: Vec<f64> = items
-                .iter()
-                .map(|&i| centroid(&self.rects[i as usize]).x)
-                .collect();
-            let ys: Vec<f64> = items
-                .iter()
-                .map(|&i| centroid(&self.rects[i as usize]).y)
-                .collect();
-            let spread = |v: &[f64]| {
-                v.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
-                    - v.iter().cloned().fold(f64::INFINITY, f64::min)
-            };
-            spread(&xs) >= spread(&ys)
-        };
-        items.sort_by(|&a, &b| {
-            let (ca, cb) = (
-                centroid(&self.rects[a as usize]),
-                centroid(&self.rects[b as usize]),
-            );
-            let (ka, kb) = if wide { (ca.x, cb.x) } else { (ca.y, cb.y) };
-            ka.partial_cmp(&kb).unwrap_or(std::cmp::Ordering::Equal)
-        });
+        let (mut lo, mut hi) = (
+            Point::new(f64::INFINITY, f64::INFINITY),
+            Point::new(f64::NEG_INFINITY, f64::NEG_INFINITY),
+        );
+        for (r, _) in items.iter() {
+            let c = r.center();
+            lo = Point::new(lo.x.min(c.x), lo.y.min(c.y));
+            hi = Point::new(hi.x.max(c.x), hi.y.max(c.y));
+        }
+        let wide = hi.x - lo.x >= hi.y - lo.y;
+        let key = |r: &Rect| if wide { r.center().x } else { r.center().y };
         let mid = items.len() / 2;
-        let (lo, hi) = items.split_at_mut(mid);
-        let left = self.build_node(lo);
-        let right = self.build_node(hi);
-        self.nodes.push(Node::Internal { bbox, left, right });
-        self.nodes.len() - 1
+        items.select_nth_unstable_by(mid, |a, b| key(&a.0).total_cmp(&key(&b.0)));
+        self.nodes.push(Node {
+            bbox,
+            start: 0,
+            count: 0,
+        });
+        let left = self.build_node(start, start + mid);
+        self.nodes[node].start = self.nodes.len() as u32;
+        let right = self.build_node(start + mid, end);
+        1 + left.max(right)
     }
 
-    fn bbox_of(&self, items: &[u32]) -> Rect {
-        let mut it = items.iter();
-        let first = it
-            .next()
-            .map(|&i| self.rects[i as usize])
-            .expect("bbox of non-empty item set");
-        it.fold(first, |acc, &i| acc.union(&self.rects[i as usize]))
-    }
-
-    /// Indexes one more rectangle and returns its item index.
-    ///
-    /// Descends by least bbox enlargement, splits an overfull leaf in
-    /// place, and widens ancestor boxes on the way down — registration
-    /// stays incremental, no rebuild.
-    pub fn insert(&mut self, rect: Rect) -> u32 {
-        let index = self.rects.len() as u32;
-        self.rects.push(rect);
-        let Some(root) = self.root else {
-            self.nodes.push(Node::Leaf {
-                bbox: rect,
-                items: vec![index],
-            });
-            self.root = Some(self.nodes.len() - 1);
-            return index;
-        };
-        let mut node = root;
+    /// Appends to `out` the item index of every rectangle for which
+    /// `hit` holds, descending only into nodes whose bbox passes `hit`,
+    /// and returns the number of nodes visited.
+    fn descend(&self, hit: impl Fn(&Rect) -> bool, out: &mut Vec<u32>) -> u64 {
+        if self.nodes.is_empty() {
+            return 0;
+        }
+        let mut stack = [0u32; Self::STACK_DEPTH];
+        let mut top = 0;
+        let mut node = 0;
+        let mut visited = 0u64;
         loop {
-            match &mut self.nodes[node] {
-                Node::Internal { bbox, left, right } => {
-                    *bbox = bbox.union(&rect);
-                    let (left, right) = (*left, *right);
-                    node = self.cheaper_child(left, right, &rect);
+            visited += 1;
+            let n = &self.nodes[node];
+            if hit(&n.bbox) {
+                if n.count == 0 {
+                    stack[top] = n.start;
+                    top += 1;
+                    node += 1;
+                    continue;
                 }
-                Node::Leaf { bbox, items } => {
-                    *bbox = bbox.union(&rect);
-                    items.push(index);
-                    if items.len() > LEAF_CAPACITY {
-                        self.split_leaf(node);
-                    }
-                    return index;
-                }
+                let leaf = &self.entries[n.start as usize..(n.start + n.count) as usize];
+                out.extend(leaf.iter().filter(|(r, _)| hit(r)).map(|&(_, i)| i));
             }
+            if top == 0 {
+                return visited;
+            }
+            top -= 1;
+            node = stack[top] as usize;
         }
-    }
-
-    /// The child whose bbox grows least when widened to include `rect`
-    /// (ties to the smaller resulting area).
-    fn cheaper_child(&self, left: usize, right: usize, rect: &Rect) -> usize {
-        let cost = |node: usize| {
-            let b = self.nodes[node].bbox();
-            let grown = b.union(rect);
-            (grown.area() - b.area(), grown.area())
-        };
-        let (lc, rc) = (cost(left), cost(right));
-        if lc <= rc {
-            left
-        } else {
-            right
-        }
-    }
-
-    /// Splits an overfull leaf into two by median on the longest axis,
-    /// turning the node internal in place (indices into `nodes` stay
-    /// stable, so ancestors need no fixing).
-    fn split_leaf(&mut self, node: usize) {
-        let Node::Leaf { bbox, items } = self.nodes[node].clone() else {
-            unreachable!("split_leaf on an internal node");
-        };
-        let mut items = items;
-        let wide = bbox.width() >= bbox.height();
-        items.sort_by(|&a, &b| {
-            let (ca, cb) = (
-                self.rects[a as usize].center(),
-                self.rects[b as usize].center(),
-            );
-            let (ka, kb) = if wide { (ca.x, cb.x) } else { (ca.y, cb.y) };
-            ka.partial_cmp(&kb).unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let hi = items.split_off(items.len() / 2);
-        let lo_bbox = self.bbox_of(&items);
-        let hi_bbox = self.bbox_of(&hi);
-        self.nodes.push(Node::Leaf {
-            bbox: lo_bbox,
-            items,
-        });
-        let left = self.nodes.len() - 1;
-        self.nodes.push(Node::Leaf {
-            bbox: hi_bbox,
-            items: hi,
-        });
-        let right = self.nodes.len() - 1;
-        self.nodes[node] = Node::Internal { bbox, left, right };
     }
 
     /// Appends to `out` the item indices of every rectangle containing
     /// `p`, and returns the number of nodes visited (the traversal-cost
     /// figure surfaced by the router's metrics).
     pub fn query_point(&self, p: Point, out: &mut Vec<u32>) -> u64 {
-        let Some(root) = self.root else {
-            return 0;
-        };
-        let mut visited = 0u64;
-        let mut stack = vec![root];
-        while let Some(node) = stack.pop() {
-            visited += 1;
-            match &self.nodes[node] {
-                Node::Internal { bbox, left, right } => {
-                    if bbox.contains(p) {
-                        stack.push(*left);
-                        stack.push(*right);
-                    }
-                }
-                Node::Leaf { bbox, items } => {
-                    if bbox.contains(p) {
-                        out.extend(
-                            items
-                                .iter()
-                                .filter(|&&i| self.rects[i as usize].contains(p)),
-                        );
-                    }
-                }
-            }
-        }
-        visited
+        self.descend(|r| r.contains(p), out)
     }
 
     /// Appends to `out` the item indices of every rectangle
     /// intersecting `query`, and returns the number of nodes visited.
     pub fn query_rect(&self, query: &Rect, out: &mut Vec<u32>) -> u64 {
-        let Some(root) = self.root else {
-            return 0;
-        };
-        let mut visited = 0u64;
-        let mut stack = vec![root];
-        while let Some(node) = stack.pop() {
-            visited += 1;
-            match &self.nodes[node] {
-                Node::Internal { bbox, left, right } => {
-                    if bbox.intersects(query) {
-                        stack.push(*left);
-                        stack.push(*right);
-                    }
-                }
-                Node::Leaf { bbox, items } => {
-                    if bbox.intersects(query) {
-                        out.extend(
-                            items
-                                .iter()
-                                .filter(|&&i| self.rects[i as usize].intersects(query)),
-                        );
-                    }
-                }
-            }
-        }
-        visited
+        self.descend(|r| r.intersects(query), out)
     }
 }
 
@@ -329,6 +210,32 @@ mod tests {
         Rect::new(Point::new(x, y), Point::new(x + w, y + h))
     }
 
+    fn brute_point(rects: &[Rect], q: Point) -> Vec<u32> {
+        (0..rects.len() as u32)
+            .filter(|&i| rects[i as usize].contains(q))
+            .collect()
+    }
+
+    fn brute_rect(rects: &[Rect], q: &Rect) -> Vec<u32> {
+        (0..rects.len() as u32)
+            .filter(|&i| rects[i as usize].intersects(q))
+            .collect()
+    }
+
+    fn sorted_point(bvh: &Bvh, q: Point) -> Vec<u32> {
+        let mut out = Vec::new();
+        bvh.query_point(q, &mut out);
+        out.sort_unstable();
+        out
+    }
+
+    fn sorted_rect(bvh: &Bvh, q: &Rect) -> Vec<u32> {
+        let mut out = Vec::new();
+        bvh.query_rect(q, &mut out);
+        out.sort_unstable();
+        out
+    }
+
     #[test]
     fn empty_hierarchy_answers_nothing() {
         let bvh = Bvh::new();
@@ -338,6 +245,7 @@ mod tests {
         assert_eq!(bvh.query_rect(&rect(0.0, 0.0, 1.0, 1.0), &mut out), 0);
         assert!(out.is_empty());
         assert!(bvh.is_empty());
+        assert_eq!(Bvh::build(&[]).depth, 0);
     }
 
     #[test]
@@ -348,16 +256,9 @@ mod tests {
             rect(20.0, 20.0, 5.0, 5.0),
         ];
         let bvh = Bvh::build(&rects);
-        let mut out = Vec::new();
-        bvh.query_point(Point::new(7.0, 7.0), &mut out);
-        out.sort_unstable();
-        assert_eq!(out, vec![0, 1]);
-        out.clear();
-        bvh.query_point(Point::new(21.0, 21.0), &mut out);
-        assert_eq!(out, vec![2]);
-        out.clear();
-        bvh.query_point(Point::new(100.0, 100.0), &mut out);
-        assert!(out.is_empty());
+        assert_eq!(sorted_point(&bvh, Point::new(7.0, 7.0)), vec![0, 1]);
+        assert_eq!(sorted_point(&bvh, Point::new(21.0, 21.0)), vec![2]);
+        assert!(sorted_point(&bvh, Point::new(100.0, 100.0)).is_empty());
     }
 
     #[test]
@@ -366,30 +267,6 @@ mod tests {
         let mut out = Vec::new();
         bvh.query_rect(&rect(10.0, 0.0, 5.0, 5.0), &mut out);
         assert_eq!(out, vec![0], "touching boundaries intersect");
-    }
-
-    #[test]
-    fn incremental_insert_matches_bulk_build() {
-        let rects: Vec<Rect> = (0..40)
-            .map(|i| {
-                let f = f64::from(i);
-                rect(f * 3.0, (f * 7.0) % 50.0, 5.0 + f % 4.0, 5.0)
-            })
-            .collect();
-        let bulk = Bvh::build(&rects);
-        let mut inc = Bvh::new();
-        for (i, r) in rects.iter().enumerate() {
-            assert_eq!(inc.insert(*r), i as u32);
-        }
-        for i in 0..60 {
-            let p = Point::new(f64::from(i) * 2.0, f64::from(i) * 1.5);
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            bulk.query_point(p, &mut a);
-            inc.query_point(p, &mut b);
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "bulk and incremental disagree at {p:?}");
-        }
     }
 
     #[test]
@@ -406,66 +283,111 @@ mod tests {
         let visited = bvh.query_point(Point::new(5.0, 5.0), &mut out);
         assert_eq!(out, vec![0]);
         assert!(
-            visited < 64,
+            visited < 24,
             "a point query over 256 disjoint rects should prune hard, visited {visited}"
         );
     }
 
+    /// The built depth is logarithmic and fits the inline traversal
+    /// stack, including the degenerate all-identical set that splits by
+    /// position alone.
+    #[test]
+    fn built_depth_fits_the_traversal_stack() {
+        for n in [1usize, 4, 5, 17, 400, 10_000] {
+            let spread: Vec<Rect> = (0..n)
+                .map(|i| rect((i % 97) as f64, (i / 97) as f64, 2.0, 2.0))
+                .collect();
+            let same = vec![rect(1.0, 1.0, 3.0, 3.0); n];
+            for rects in [spread, same] {
+                let bvh = Bvh::build(&rects);
+                let bound = 1 + n.div_ceil(LEAF_SIZE).next_power_of_two().trailing_zeros();
+                assert!(bvh.depth <= bound as usize, "n={n} depth {}", bvh.depth);
+                assert!(bvh.depth <= Bvh::STACK_DEPTH);
+                assert_eq!(bvh.len(), n);
+            }
+        }
+    }
+
+    /// 10k items: identical, zero-area and collinear sets still answer
+    /// exactly like brute force.
+    #[test]
+    fn large_degenerate_sets_match_brute_force() {
+        let n = 10_000;
+        let identical = vec![rect(5.0, 5.0, 1.0, 1.0); n];
+        let zero_area: Vec<Rect> = (0..n)
+            .map(|i| rect((i % 100) as f64, (i / 100) as f64, 0.0, 0.0))
+            .collect();
+        let collinear: Vec<Rect> = (0..n)
+            .map(|i| rect(i as f64 * 0.5, 3.0, 1.0, 0.0))
+            .collect();
+        for rects in [identical, zero_area, collinear] {
+            let bvh = Bvh::build(&rects);
+            for q in [
+                Point::new(5.5, 5.0),
+                Point::new(42.0, 17.0),
+                Point::new(100.0, 3.0),
+                Point::new(-1.0, -1.0),
+            ] {
+                assert_eq!(sorted_point(&bvh, q), brute_point(&rects, q));
+            }
+            let window = rect(10.0, 2.0, 7.5, 4.0);
+            assert_eq!(sorted_rect(&bvh, &window), brute_rect(&rects, &window));
+        }
+    }
+
+    /// One random rect: ordinary, zero-area, a horizontal/vertical
+    /// segment, or a snapped copy from a small pool (so duplicates and
+    /// shared edges are common).
+    fn any_rect() -> impl Strategy<Value = Rect> {
+        prop_oneof![
+            (-50.0f64..50.0, -50.0f64..50.0, 0.1f64..30.0, 0.1f64..30.0)
+                .prop_map(|(x, y, w, h)| rect(x, y, w, h)),
+            (-50.0f64..50.0, -50.0f64..50.0).prop_map(|(x, y)| rect(x, y, 0.0, 0.0)),
+            (-50.0f64..50.0, 0.0f64..30.0).prop_map(|(x, w)| rect(x, 7.0, w, 0.0)),
+            (-50.0f64..50.0, 0.0f64..30.0).prop_map(|(y, h)| rect(-3.0, y, 0.0, h)),
+            (0u32..4, 0u32..4).prop_map(|(i, j)| rect(
+                f64::from(i) * 10.0,
+                f64::from(j) * 10.0,
+                10.0,
+                10.0
+            )),
+        ]
+    }
+
+    /// A query point, sometimes snapped onto the pool grid or the
+    /// segment lines so boundary hits are exercised.
+    fn any_point() -> impl Strategy<Value = Point> {
+        prop_oneof![
+            (-60.0f64..60.0, -60.0f64..60.0).prop_map(|(x, y)| Point::new(x, y)),
+            (0u32..5, 0u32..5)
+                .prop_map(|(i, j)| Point::new(f64::from(i) * 10.0, f64::from(j) * 10.0)),
+            (-60.0f64..60.0).prop_map(|x| Point::new(x, 7.0)),
+            (-60.0f64..60.0).prop_map(|y| Point::new(-3.0, y)),
+        ]
+    }
+
     proptest! {
-        /// Point queries equal brute force over random rect sets, built
-        /// bulk or incrementally.
+        /// Point queries equal brute force over random rect sets.
         #[test]
         fn point_query_matches_brute_force(
-            raw in proptest::collection::vec(
-                (-50.0f64..50.0, -50.0f64..50.0, 0.1f64..30.0, 0.1f64..30.0), 0..60),
-            qx in -60.0f64..60.0, qy in -60.0f64..60.0,
+            rects in proptest::collection::vec(any_rect(), 0..120),
+            qs in proptest::collection::vec(any_point(), 1..8),
         ) {
-            let rects: Vec<Rect> = raw.iter().map(|&(x, y, w, h)| rect(x, y, w, h)).collect();
-            let q = Point::new(qx, qy);
-            let mut expected: Vec<u32> = rects
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r.contains(q))
-                .map(|(i, _)| i as u32)
-                .collect();
-            expected.sort_unstable();
-            let bulk = Bvh::build(&rects);
-            let mut got = Vec::new();
-            bulk.query_point(q, &mut got);
-            got.sort_unstable();
-            prop_assert_eq!(&got, &expected);
-            let mut inc = Bvh::new();
-            for r in &rects {
-                inc.insert(*r);
+            let bvh = Bvh::build(&rects);
+            prop_assert!(bvh.depth <= Bvh::STACK_DEPTH);
+            for q in qs {
+                prop_assert_eq!(sorted_point(&bvh, q), brute_point(&rects, q));
             }
-            let mut got_inc = Vec::new();
-            inc.query_point(q, &mut got_inc);
-            got_inc.sort_unstable();
-            prop_assert_eq!(&got_inc, &expected);
         }
 
         /// Rect queries equal brute force.
         #[test]
         fn rect_query_matches_brute_force(
-            raw in proptest::collection::vec(
-                (-50.0f64..50.0, -50.0f64..50.0, 0.1f64..30.0, 0.1f64..30.0), 0..60),
-            qx in -60.0f64..60.0, qy in -60.0f64..60.0,
-            qw in 0.1f64..40.0, qh in 0.1f64..40.0,
+            rects in proptest::collection::vec(any_rect(), 0..120),
+            q in any_rect(),
         ) {
-            let rects: Vec<Rect> = raw.iter().map(|&(x, y, w, h)| rect(x, y, w, h)).collect();
-            let q = rect(qx, qy, qw, qh);
-            let mut expected: Vec<u32> = rects
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r.intersects(&q))
-                .map(|(i, _)| i as u32)
-                .collect();
-            expected.sort_unstable();
             let bvh = Bvh::build(&rects);
-            let mut got = Vec::new();
-            bvh.query_rect(&q, &mut got);
-            got.sort_unstable();
-            prop_assert_eq!(got, expected);
+            prop_assert_eq!(sorted_rect(&bvh, &q), brute_rect(&rects, &q));
         }
     }
 }

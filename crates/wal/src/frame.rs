@@ -49,18 +49,16 @@ impl From<stem_core::codec::CodecError> for WalError {
 
 pub use stem_core::codec::crc32;
 
-/// Wraps a payload in the on-disk frame: `[len u32][crc u32][payload]`.
-#[must_use]
-pub fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 8);
-    out.extend_from_slice(
-        &u32::try_from(payload.len())
-            .expect("record < 4 GiB")
-            .to_le_bytes(),
-    );
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+/// Bytes of the on-disk frame header: `[len u32][crc u32][payload]`.
+pub(crate) const FRAME_HEADER: usize = 8;
+
+/// Fills the header of a frame built in place: `buf` holds
+/// [`FRAME_HEADER`] placeholder bytes followed by the payload.
+pub(crate) fn seal_frame(buf: &mut [u8]) {
+    let (header, payload) = buf.split_at_mut(FRAME_HEADER);
+    let len = u32::try_from(payload.len()).expect("record < 4 GiB");
+    header[..4].copy_from_slice(&len.to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
 }
 
 /// Attempts to read one frame from the front of `bytes`.
@@ -88,6 +86,13 @@ pub fn unframe(bytes: &[u8]) -> Option<(&[u8], usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn frame(payload: &[u8]) -> Vec<u8> {
+        let mut out = vec![0; FRAME_HEADER];
+        out.extend_from_slice(payload);
+        seal_frame(&mut out);
+        out
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {

@@ -112,6 +112,24 @@ impl WalRecord {
         }
     }
 
+    /// Encodes an [`WalRecord::Instance`] payload whose instance bytes
+    /// `encode_instance` writes (in [`encode_instance`]'s layout) —
+    /// the same bytes as encoding the record, for an instance that is
+    /// stored some other way than as an [`EventInstance`].
+    pub fn encode_instance_with(
+        seq: u64,
+        eval_at: Option<TimePoint>,
+        prefix_high_water: Option<TimePoint>,
+        buf: &mut Vec<u8>,
+        encode_instance: impl FnOnce(&mut Vec<u8>),
+    ) {
+        put_u8(buf, TAG_INSTANCE);
+        put_u64(buf, seq);
+        encode_opt_time_point(eval_at, buf);
+        encode_opt_time_point(prefix_high_water, buf);
+        encode_instance(buf);
+    }
+
     /// Encodes the record payload (frame-less; the segment writer adds
     /// the length/CRC envelope).
     pub fn encode(&self, buf: &mut Vec<u8>) {
@@ -121,13 +139,9 @@ impl WalRecord {
                 eval_at,
                 prefix_high_water,
                 instance,
-            } => {
-                put_u8(buf, TAG_INSTANCE);
-                put_u64(buf, *seq);
-                encode_opt_time_point(*eval_at, buf);
-                encode_opt_time_point(*prefix_high_water, buf);
+            } => WalRecord::encode_instance_with(*seq, *eval_at, *prefix_high_water, buf, |buf| {
                 encode_instance(instance, buf);
-            }
+            }),
             WalRecord::Probe {
                 seq,
                 subscription,

@@ -1,6 +1,6 @@
 //! The per-shard append side: segment files, rotation, fsync policy.
 
-use crate::frame::{frame, WalError, SEGMENT_MAGIC};
+use crate::frame::{seal_frame, WalError, FRAME_HEADER, SEGMENT_MAGIC};
 use crate::record::WalRecord;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -180,9 +180,34 @@ impl ShardWal {
     ///
     /// Returns [`WalError::Io`] on any filesystem failure.
     pub fn append_deferred(&mut self, record: &WalRecord) -> Result<(), WalError> {
-        self.scratch.clear();
-        record.encode(&mut self.scratch);
-        let framed = frame(&self.scratch);
+        self.append_encoded_deferred(|buf| record.encode(buf))
+    }
+
+    /// [`ShardWal::append_deferred`] for a record whose payload `encode`
+    /// writes directly (e.g. [`WalRecord::encode_instance_with`] over a
+    /// columnar row), so the caller need not build the record first.
+    /// The frame is assembled in place in a reused buffer.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WalError::Io`] on any filesystem failure.
+    pub fn append_encoded_deferred(
+        &mut self,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), WalError> {
+        let mut framed = std::mem::take(&mut self.scratch);
+        framed.clear();
+        framed.extend_from_slice(&[0; FRAME_HEADER]);
+        encode(&mut framed);
+        seal_frame(&mut framed);
+        let written = self.write_frame(&framed);
+        self.scratch = framed;
+        written
+    }
+
+    /// Writes one sealed frame, rotating the segment first if it would
+    /// overflow.
+    fn write_frame(&mut self, framed: &[u8]) -> Result<(), WalError> {
         let needs_roll = self.file.is_none()
             || (self.segment_fill > 0
                 && self.segment_fill + framed.len() as u64 > self.segment_bytes);
@@ -192,7 +217,7 @@ impl ShardWal {
         } else {
             self.file.as_mut().expect("checked above")
         };
-        file.write_all(&framed)?;
+        file.write_all(framed)?;
         self.segment_fill = if needs_roll { 0 } else { fill } + framed.len() as u64;
         self.metrics.records += 1;
         self.metrics.bytes += framed.len() as u64;
