@@ -8,10 +8,12 @@
 //! point). A [`ColumnarBatch`] flips the layout: instances are appended
 //! into parallel arrays, event ids and attribute keys are interned once
 //! per batch, and attribute values live in a flat arena that a
-//! [`ColumnarBatch::reset`] reclaims without freeing capacity. Routing,
-//! scope tests, BVH probes, condition evaluation (attributes are read
-//! in place from the arena) and WAL encoding ([`ColumnarBatch::encode_row`])
-//! then work on dense columns; a full [`EventInstance`] is only
+//! [`ColumnarBatch::reset`] reclaims without freeing capacity. The
+//! engine routes each instance before copying it, so a batch holds only
+//! rows bound for some shard; the workers' scope tests, BVH probes,
+//! condition evaluation (attributes are read in place from the arena)
+//! and WAL encoding ([`ColumnarBatch::encode_row`]) then work on dense
+//! columns; a full [`EventInstance`] is only
 //! re-materialized for the minority of rows that produce a
 //! notification or feed a pattern detector.
 
@@ -141,7 +143,6 @@ pub struct ColumnarBatch {
     est_locations: Vec<SpatialExtent>,
     reps: Vec<Point>,
     confidences: Vec<Confidence>,
-    ingest_stamps: Vec<u64>,
     attrs: AttrArena,
 }
 
@@ -156,30 +157,29 @@ impl ColumnarBatch {
     #[must_use]
     pub fn with_capacity(rows: usize) -> Self {
         let mut batch = ColumnarBatch::default();
-        batch.observers.reserve(rows);
-        batch.event_rows.reserve(rows);
-        batch.seqs.reserve(rows);
-        batch.layers.reserve(rows);
-        batch.gen_times.reserve(rows);
-        batch.gen_locations.reserve(rows);
-        batch.est_times.reserve(rows);
-        batch.est_locations.reserve(rows);
-        batch.reps.reserve(rows);
-        batch.confidences.reserve(rows);
-        batch.ingest_stamps.reserve(rows);
+        batch.reserve(rows);
         batch
     }
 
-    /// Appends one instance as a new row and returns its row index.
-    /// The row's ingest stamp is 0 (untraced); traced ingest paths use
-    /// [`ColumnarBatch::push_stamped`].
-    pub fn push(&mut self, instance: &EventInstance) -> usize {
-        self.push_stamped(instance, 0)
+    /// Reserves row capacity for at least `additional` more rows in
+    /// every column: one allocation per column instead of a doubling
+    /// series when the row count is known before the copy.
+    pub fn reserve(&mut self, additional: usize) {
+        self.observers.reserve(additional);
+        self.event_rows.reserve(additional);
+        self.seqs.reserve(additional);
+        self.layers.reserve(additional);
+        self.gen_times.reserve(additional);
+        self.gen_locations.reserve(additional);
+        self.est_times.reserve(additional);
+        self.est_locations.reserve(additional);
+        self.reps.reserve(additional);
+        self.confidences.reserve(additional);
+        self.attrs.rows.reserve(additional);
     }
 
-    /// Appends one instance carrying the trace-clock stamp taken when
-    /// it entered the engine, and returns its row index.
-    pub fn push_stamped(&mut self, instance: &EventInstance, ingest_stamp: u64) -> usize {
+    /// Appends one instance as a new row and returns its row index.
+    pub fn push(&mut self, instance: &EventInstance) -> usize {
         // Streams are overwhelmingly single-event: one equality check
         // against the previous row's interned id usually replaces the
         // map descent.
@@ -208,16 +208,8 @@ impl ColumnarBatch {
         self.reps
             .push(instance.estimated_location().representative());
         self.confidences.push(instance.confidence());
-        self.ingest_stamps.push(ingest_stamp);
         self.attrs.push_row(instance.attributes());
         self.len() - 1
-    }
-
-    /// The trace-clock stamp taken when the row entered the engine
-    /// (0 for untraced rows).
-    #[must_use]
-    pub fn ingest_stamp(&self, row: usize) -> u64 {
-        self.ingest_stamps[row]
     }
 
     /// Number of rows.
@@ -288,18 +280,6 @@ impl ColumnarBatch {
         self.attrs.get(row, key).and_then(AttrValue::as_f64)
     }
 
-    /// The representative points of every row, as one dense column.
-    #[must_use]
-    pub fn representatives(&self) -> &[Point] {
-        &self.reps
-    }
-
-    /// The generation times of every row, as one dense column.
-    #[must_use]
-    pub fn generation_times(&self) -> &[TimePoint] {
-        &self.gen_times
-    }
-
     /// The attribute arena backing this batch.
     #[must_use]
     pub fn attr_arena(&self) -> &AttrArena {
@@ -357,7 +337,6 @@ impl ColumnarBatch {
         self.est_locations.clear();
         self.reps.clear();
         self.confidences.clear();
-        self.ingest_stamps.clear();
         self.attrs.reset();
     }
 }
@@ -442,18 +421,6 @@ mod tests {
         let row = batch.push(&again);
         assert_eq!(batch.attr_arena().interned_keys(), keys_before);
         assert_eq!(batch.materialize(row), again);
-    }
-
-    #[test]
-    fn ingest_stamps_ride_the_row_and_reset() {
-        let mut batch = ColumnarBatch::new();
-        let plain = batch.push(&inst(1, 0.0, "hot"));
-        let stamped = batch.push_stamped(&inst(2, 1.0, "hot"), 42);
-        assert_eq!(batch.ingest_stamp(plain), 0, "push is the untraced path");
-        assert_eq!(batch.ingest_stamp(stamped), 42);
-        batch.reset();
-        let again = batch.push_stamped(&inst(3, 2.0, "hot"), 7);
-        assert_eq!(batch.ingest_stamp(again), 7, "stamps cleared by reset");
     }
 
     /// A random attribute value of every kind, text included.

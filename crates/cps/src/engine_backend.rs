@@ -123,7 +123,7 @@ const SCOPE_MARGIN: f64 = 5.0;
 pub struct StationScopes {
     /// Sensor-layer arrivals at the sink: the deployment's sensing
     /// extent (every mote's position — field samples and range
-    /// readings are generated there), padded by [`SCOPE_MARGIN`].
+    /// readings are generated there), padded by `SCOPE_MARGIN`.
     pub sink: Rect,
     /// Cyber-physical / cyber arrivals at the CCU: derived composite
     /// extents (aggregates of in-deployment constituents), station
@@ -131,7 +131,7 @@ pub struct StationScopes {
     /// application tracks a mobile target — the exact bound of the
     /// target's trajectory, all padded by the mobility slack (the
     /// ranging radius, within which localization fixes land) plus
-    /// [`SCOPE_MARGIN`].
+    /// `SCOPE_MARGIN`.
     pub ccu: Rect,
 }
 

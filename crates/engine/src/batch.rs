@@ -7,23 +7,24 @@ use stem_core::{
 use stem_spatial::{Point, SpatialExtent};
 use stem_temporal::{TemporalExtent, TimePoint};
 
-/// How a routed instance travels to its shard.
+/// How a routed instance travels to its shard: one pointer, whatever
+/// the path.
 ///
-/// The classic path moves the owned [`EventInstance`]; the columnar
-/// ingest path instead ships a shared reference into a
-/// [`ColumnarBatch`] row, so the router, the worker's filter pass,
-/// condition evaluation (the payload is an [`EntityView`]) and WAL
-/// encoding all read flat columns, and the full instance is only
-/// re-materialized for rows that produce a notification.
+/// The per-instance path shares the [`EventInstance`] behind an `Arc`
+/// (a broadcast to several shards costs a reference bump, and the last
+/// holder moves the instance out); the columnar ingest path instead
+/// ships a shared reference into a [`ColumnarBatch`] row, so the
+/// worker's filter pass, condition evaluation (the payload is an
+/// [`EntityView`]) and WAL encoding all read flat columns, and the full
+/// instance is only re-materialized for rows that produce a
+/// notification. Either way a routed item stays small enough that the
+/// moves from router to reorder buffer copy a few words, never an
+/// inline instance.
 #[derive(Debug, Clone)]
 pub enum ItemPayload {
-    /// A standalone instance (per-instance ingest to a single target,
-    /// recovery replay, snapshot restore).
-    Owned(EventInstance),
-    /// A broadcast copy: the same instance delivered to several shards
-    /// shares one allocation, so fanout costs an `Arc` bump instead of
-    /// a deep clone of strings and attribute maps.
-    Shared(Arc<EventInstance>),
+    /// A standalone instance (per-instance ingest, recovery replay,
+    /// snapshot restore), shared by every shard it was routed to.
+    Instance(Arc<EventInstance>),
     /// Row `.1` of a shared columnar ingest chunk.
     Columnar(Arc<ColumnarBatch>, u32),
 }
@@ -33,8 +34,7 @@ impl ItemPayload {
     #[must_use]
     pub fn event(&self) -> &EventId {
         match self {
-            ItemPayload::Owned(instance) => instance.event(),
-            ItemPayload::Shared(instance) => instance.event(),
+            ItemPayload::Instance(instance) => instance.event(),
             ItemPayload::Columnar(batch, row) => batch.event(*row as usize),
         }
     }
@@ -43,8 +43,7 @@ impl ItemPayload {
     #[must_use]
     pub fn layer(&self) -> Layer {
         match self {
-            ItemPayload::Owned(instance) => instance.layer(),
-            ItemPayload::Shared(instance) => instance.layer(),
+            ItemPayload::Instance(instance) => instance.layer(),
             ItemPayload::Columnar(batch, row) => batch.layer(*row as usize),
         }
     }
@@ -53,8 +52,7 @@ impl ItemPayload {
     #[must_use]
     pub fn generation_time(&self) -> TimePoint {
         match self {
-            ItemPayload::Owned(instance) => instance.generation_time(),
-            ItemPayload::Shared(instance) => instance.generation_time(),
+            ItemPayload::Instance(instance) => instance.generation_time(),
             ItemPayload::Columnar(batch, row) => batch.generation_time(*row as usize),
         }
     }
@@ -64,8 +62,7 @@ impl ItemPayload {
     #[must_use]
     pub fn representative(&self) -> Point {
         match self {
-            ItemPayload::Owned(instance) => instance.estimated_location().representative(),
-            ItemPayload::Shared(instance) => instance.estimated_location().representative(),
+            ItemPayload::Instance(instance) => instance.estimated_location().representative(),
             ItemPayload::Columnar(batch, row) => batch.representative(*row as usize),
         }
     }
@@ -74,8 +71,7 @@ impl ItemPayload {
     #[must_use]
     pub fn estimated_location(&self) -> &SpatialExtent {
         match self {
-            ItemPayload::Owned(instance) => instance.estimated_location(),
-            ItemPayload::Shared(instance) => instance.estimated_location(),
+            ItemPayload::Instance(instance) => instance.estimated_location(),
             ItemPayload::Columnar(batch, row) => batch.estimated_location(*row as usize),
         }
     }
@@ -84,8 +80,7 @@ impl ItemPayload {
     #[must_use]
     pub fn seq(&self) -> SeqNo {
         match self {
-            ItemPayload::Owned(instance) => instance.seq(),
-            ItemPayload::Shared(instance) => instance.seq(),
+            ItemPayload::Instance(instance) => instance.seq(),
             ItemPayload::Columnar(batch, row) => batch.seq(*row as usize),
         }
     }
@@ -94,31 +89,28 @@ impl ItemPayload {
     /// straight from the columns for a columnar row.
     pub fn encode_instance(&self, buf: &mut Vec<u8>) {
         match self {
-            ItemPayload::Owned(instance) => codec::encode_instance(instance, buf),
-            ItemPayload::Shared(instance) => codec::encode_instance(instance, buf),
+            ItemPayload::Instance(instance) => codec::encode_instance(instance, buf),
             ItemPayload::Columnar(batch, row) => batch.encode_row(*row as usize, buf),
         }
     }
 
-    /// A standalone copy of the instance (clone for owned payloads,
+    /// A standalone copy of the instance (clone for instance payloads,
     /// materialization for columnar rows — bit-identical either way).
     #[must_use]
     pub fn to_instance(&self) -> EventInstance {
         match self {
-            ItemPayload::Owned(instance) => instance.clone(),
-            ItemPayload::Shared(instance) => EventInstance::clone(instance),
+            ItemPayload::Instance(instance) => EventInstance::clone(instance),
             ItemPayload::Columnar(batch, row) => batch.materialize(*row as usize),
         }
     }
 
-    /// Consumes the payload into a standalone instance (move for owned
-    /// payloads — and for the last live handle of a shared one —
+    /// Consumes the payload into a standalone instance (a move for the
+    /// last live handle of an instance payload, a clone otherwise;
     /// materialization for columnar rows).
     #[must_use]
     pub fn into_instance(self) -> EventInstance {
         match self {
-            ItemPayload::Owned(instance) => instance,
-            ItemPayload::Shared(instance) => {
+            ItemPayload::Instance(instance) => {
                 Arc::try_unwrap(instance).unwrap_or_else(|arc| EventInstance::clone(&arc))
             }
             ItemPayload::Columnar(batch, row) => batch.materialize(row as usize),
@@ -129,8 +121,7 @@ impl ItemPayload {
 impl EntityView for ItemPayload {
     fn time(&self) -> TemporalExtent {
         match self {
-            ItemPayload::Owned(instance) => *instance.estimated_time(),
-            ItemPayload::Shared(instance) => *instance.estimated_time(),
+            ItemPayload::Instance(instance) => *instance.estimated_time(),
             ItemPayload::Columnar(batch, row) => batch.estimated_time(*row as usize),
         }
     }
@@ -141,16 +132,14 @@ impl EntityView for ItemPayload {
 
     fn attr_f64(&self, key: &str) -> Option<f64> {
         match self {
-            ItemPayload::Owned(instance) => instance.attributes().get_f64(key),
-            ItemPayload::Shared(instance) => instance.attributes().get_f64(key),
+            ItemPayload::Instance(instance) => instance.attributes().get_f64(key),
             ItemPayload::Columnar(batch, row) => batch.attr_f64(*row as usize, key),
         }
     }
 
     fn confidence(&self) -> f64 {
         match self {
-            ItemPayload::Owned(instance) => instance.confidence().value(),
-            ItemPayload::Shared(instance) => instance.confidence().value(),
+            ItemPayload::Instance(instance) => instance.confidence().value(),
             ItemPayload::Columnar(batch, row) => batch.confidence(*row as usize).value(),
         }
     }
@@ -171,7 +160,7 @@ impl EntityLookup for SoleEntity<'_> {
 
 impl From<EventInstance> for ItemPayload {
     fn from(instance: EventInstance) -> Self {
-        ItemPayload::Owned(instance)
+        ItemPayload::Instance(Arc::new(instance))
     }
 }
 
@@ -182,8 +171,8 @@ impl From<EventInstance> for ItemPayload {
 /// handed off together.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ItemTrace {
-    /// When the operation entered the engine (ingest call or columnar
-    /// push).
+    /// When the operation entered the engine (the ingest call, or the
+    /// start of its columnar chunk).
     pub ingest: u64,
     /// When the router stamped it with its global sequence.
     pub route: u64,
@@ -205,7 +194,7 @@ pub struct BatchItem {
     /// *operation*, which is what write-ahead logging and post-recovery
     /// deduplication key on.
     pub seq: u64,
-    /// The routed instance (owned, or a shared columnar row).
+    /// The routed instance (a shared instance or a columnar row).
     pub payload: ItemPayload,
     /// Observer-local evaluation time provided at ingest
     /// ([`crate::Engine::ingest_at`]): the reorder key and the clock

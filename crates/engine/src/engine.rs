@@ -7,7 +7,7 @@ use crate::config::{
 };
 use crate::metrics::EngineReport;
 use crate::plan::{plan_key, PlanId};
-use crate::router::ShardRouter;
+use crate::router::{Routed, ShardRouter};
 use crate::shard_map::ShardMap;
 use crate::slot::ShardSlot;
 use crate::subscription::{Subscription, SubscriptionId};
@@ -112,10 +112,6 @@ pub struct Engine {
     started: Instant,
     /// Telemetry state (None with [`TelemetryPolicy::Off`]).
     obs: Option<EngineObs>,
-    /// The provenance trace clock every stage stamps against — wall
-    /// nanos in threaded mode, a shared virtual counter in
-    /// deterministic mode (`None` with [`TracePolicy::Off`]).
-    trace_clock: Option<Arc<TraceClock>>,
     /// Per-shard flight-recorder rings (empty with [`TracePolicy::Off`]);
     /// the workers write, [`Engine::trace`] and shutdown read.
     trace_rings: Vec<Arc<Mutex<FlightRing>>>,
@@ -302,7 +298,6 @@ impl Engine {
             checkpoint_high_water: None,
             started: Instant::now(),
             obs,
-            trace_clock,
             trace_rings,
             watch,
             run_epoch: 0,
@@ -363,19 +358,23 @@ impl Engine {
     }
 
     /// Closes an engine-thread telemetry span: one histogram sample.
-    fn obs_record(&mut self, stage: Stage, token: Option<SpanToken>) {
-        self.obs_record_minus(stage, token, 0);
+    /// Returns the recorded span length (0 with telemetry off).
+    fn obs_record(&mut self, stage: Stage, token: Option<SpanToken>) -> u64 {
+        self.obs_record_minus(stage, token, 0)
     }
 
     /// Closes a span but discounts `minus` nanoseconds — the barrier
     /// path uses it to subtract stolen shard work (already recorded
     /// under its real stages on the worker recorders) so `barrier_wait`
-    /// measures coordination, not relocated evaluation.
-    fn obs_record_minus(&mut self, stage: Stage, token: Option<SpanToken>, minus: u64) {
-        if let (Some(o), Some(t)) = (self.obs.as_mut(), token) {
-            let elapsed = o.clock.elapsed(&t).saturating_sub(minus);
-            o.recorder.record_stage(stage, elapsed);
-        }
+    /// measures coordination, not relocated evaluation; `ingest_all`
+    /// to keep its nested top-level spans out of `ingest`.
+    fn obs_record_minus(&mut self, stage: Stage, token: Option<SpanToken>, minus: u64) -> u64 {
+        let (Some(o), Some(t)) = (self.obs.as_mut(), token) else {
+            return 0;
+        };
+        let elapsed = o.clock.elapsed(&t).saturating_sub(minus);
+        o.recorder.record_stage(stage, elapsed);
+        elapsed
     }
 
     /// Cuts a telemetry snapshot if enough batches went out since the
@@ -594,11 +593,13 @@ impl Engine {
         self.maybe_sample();
     }
 
-    /// Ingests an entire stream through the columnar batch path:
-    /// instances are gathered into arena-backed [`ColumnarBatch`]
-    /// chunks (one `batch_size` chunk at a time) and the router, the
-    /// interest masks, and the precision pass iterate the chunk's flat
-    /// columns instead of touching each instance's heap allocations.
+    /// Ingests an entire stream through the columnar batch path, one
+    /// `batch_size` chunk at a time. The router first selects each
+    /// instance's targets from the borrowed instance (its
+    /// representative point, layer and generation time); only
+    /// instances that go somewhere are then copied into an
+    /// arena-backed [`ColumnarBatch`], so a stream mostly outside every
+    /// subscription costs a routing decision per instance, not a copy.
     /// Shard workers receive shared references into the chunk, evaluate
     /// and journal rows from its columns, and only re-materialize the
     /// rows that notify. Chunks are recycled through a small pool once
@@ -606,8 +607,10 @@ impl Engine {
     /// reuses the same arenas instead of reallocating per chunk.
     ///
     /// Semantically identical to calling [`Engine::ingest`] per
-    /// instance — same routing, same sequence stamps, same
-    /// notifications (the columnar-equivalence tests pin this down).
+    /// instance — same routing, same sequence stamps (an untargeted
+    /// instance still consumes its sequence number and advances the
+    /// stream clock), same notifications (the columnar-equivalence
+    /// tests pin this down).
     ///
     /// Accepts owned instances or references: the columnar build only
     /// *reads* each instance (columns and arena rows are copies), so a
@@ -618,43 +621,88 @@ impl Engine {
         I: IntoIterator,
         I::Item: std::borrow::Borrow<EventInstance>,
     {
+        // `ingest` spans the whole call, scratch setup and teardown
+        // included, except the batch build and reset spans, which the
+        // stage ledger counts on their own.
+        let ingest_token = self.obs_span();
+        let nested = self.ingest_chunks(instances.into_iter());
+        self.obs_record_minus(Stage::Ingest, ingest_token, nested);
+    }
+
+    /// The body of [`Engine::ingest_all`]; returns the nanoseconds its
+    /// `batch_build` and `batch_reset` spans recorded.
+    fn ingest_chunks<I>(&mut self, mut iter: I) -> u64
+    where
+        I: Iterator,
+        I::Item: std::borrow::Borrow<EventInstance>,
+    {
         use std::borrow::Borrow;
         // Chunks the pool keeps alive waiting for shard references to
-        // drop; beyond this the oldest is released to the allocator.
-        const POOL_DEPTH: usize = 8;
+        // drop; beyond this the oldest is released to the allocator. A
+        // worker woken at half a queue runs that many batches behind,
+        // and each batch spans several chunks, so the pool reaches back
+        // far enough to find a released chunk instead of allocating.
+        const POOL_DEPTH: usize = 64;
         let chunk = self.config.batch_size.max(1);
-        let mut iter = instances.into_iter();
+        let mut nested = 0;
         let mut pool: Vec<Arc<ColumnarBatch>> = Vec::new();
-        let mut batch = ColumnarBatch::with_capacity(chunk);
+        let mut batch = ColumnarBatch::new();
+        // The chunk's targeted instances and, row for row, their
+        // routing decisions.
+        let mut picked: Vec<I::Item> = Vec::with_capacity(chunk);
+        let mut routed: Vec<Routed> = Vec::with_capacity(chunk);
         loop {
-            let build_token = self.obs_span();
-            // Columnar rows carry their ingest stamp in a parallel
-            // column, so batch routing keeps per-instance provenance
-            // without touching the instances again. One stamp per
-            // chunk fill: all rows of a chunk entered the engine in
-            // the same call, and a clock read per row is the dominant
-            // tracing cost on this path.
-            let ingest_stamp = self.trace_clock.as_ref().map(|clock| clock.now());
-            while batch.len() < chunk {
-                let Some(instance) = iter.next() else { break };
-                match ingest_stamp {
-                    Some(stamp) => batch.push_stamped(instance.borrow(), stamp),
-                    None => batch.push(instance.borrow()),
-                };
-            }
-            self.obs_record(Stage::BatchBuild, build_token);
-            if batch.is_empty() {
-                break;
-            }
-            let shared = Arc::new(std::mem::replace(&mut batch, ColumnarBatch::new()));
-            let ingest_token = self.obs_span();
+            // Route: select targets and consume sequence numbers. One
+            // trace stamp per chunk serves as every row's ingest and
+            // route stamp: all rows of a chunk entered the engine in
+            // the same call, and a clock read per row would cost more
+            // than the routing itself.
             let route_token = self.obs_span();
-            let full = self.router.route_batch(&shared);
+            let stamp = self.router.trace_stamp();
+            let trace = self.router.item_trace(stamp, stamp);
+            let mut pulled = 0;
+            while pulled < chunk {
+                let Some(item) = iter.next() else { break };
+                pulled += 1;
+                let instance = item.borrow();
+                let selected = self.router.select(
+                    instance.estimated_location().representative(),
+                    instance.layer(),
+                    instance.generation_time(),
+                );
+                if selected.targets != 0 {
+                    routed.push(selected);
+                    picked.push(item);
+                }
+            }
+            self.obs_record(Stage::Route, route_token);
+            if pulled == 0 {
+                return nested;
+            }
+            if picked.is_empty() {
+                // Nothing targeted: no copy, no handoff, and the arena
+                // stays ready for the next chunk.
+                self.maybe_checkpoint();
+                self.maybe_sample();
+                continue;
+            }
+            // Batch build: copy the targeted rows only, into columns
+            // sized for exactly them (a no-op on a recycled arena that
+            // already has the room).
+            let build_token = self.obs_span();
+            batch.reserve(picked.len());
+            for item in picked.drain(..) {
+                batch.push(item.borrow());
+            }
+            nested += self.obs_record(Stage::BatchBuild, build_token);
+            let shared = Arc::new(std::mem::replace(&mut batch, ColumnarBatch::new()));
+            let route_token = self.obs_span();
+            let full = self.router.push_columnar(&shared, &routed, trace);
+            routed.clear();
             self.obs_record(Stage::Route, route_token);
             for shard in full {
                 self.flush_shard(shard);
             }
-            self.obs_record(Stage::Ingest, ingest_token);
             pool.push(shared);
             self.maybe_checkpoint();
             self.maybe_sample();
@@ -668,21 +716,12 @@ impl Engine {
                     reclaimed.reset();
                     batch = reclaimed;
                 }
-            } else {
-                if pool.len() > POOL_DEPTH {
-                    // Nothing reclaimable: stop pinning the oldest
-                    // chunk ourselves (it frees once its shards drop
-                    // it).
-                    pool.remove(0);
-                }
-                // The replacement starts at full row capacity: one
-                // reserve per column instead of geometric growth
-                // re-paid on every chunk (with lazily-woken workers,
-                // whole ingest runs can pass before anything is
-                // reclaimable).
-                batch = ColumnarBatch::with_capacity(chunk);
+            } else if pool.len() > POOL_DEPTH {
+                // Nothing reclaimable: stop pinning the oldest chunk
+                // ourselves (it frees once its shards drop it).
+                pool.remove(0);
             }
-            self.obs_record(Stage::BatchReset, reset_token);
+            nested += self.obs_record(Stage::BatchReset, reset_token);
         }
     }
 
@@ -1111,12 +1150,12 @@ impl Engine {
     /// counter already matches everything the engine sent it — costs
     /// two atomic loads and no cross-thread traffic at all, and a dirty
     /// shard's remaining queue is *stolen* and drained inline on the
-    /// calling thread (see [`ShardSlot`]) instead of parking on an ack
+    /// calling thread (see the `slot` module) instead of parking on an ack
     /// round trip. No sync messages, no wakeups, no context switches —
     /// the cost ROADMAP item 5's anti-scaling used to hide in. The
     /// flush underneath still cuts heartbeat-only batches only when the
     /// stream clock advanced and the shard might act on it (see
-    /// [`Engine::flush_shard`]), so a driver syncing once per delivery
+    /// `Engine::flush_shard`), so a driver syncing once per delivery
     /// pays for exactly the shards that delivery touched.
     pub fn sync(&mut self) {
         self.flush();
@@ -1478,5 +1517,71 @@ impl std::fmt::Debug for Engine {
             .field("config", &self.config)
             .field("subscriptions", &self.next_subscription)
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use stem_core::{Attributes, EventId, Layer, MoteId, ObserverId};
+    use stem_spatial::{Field, Point, Rect, SpatialExtent};
+
+    /// The handoff wakes a parked worker once its queue is half full: a
+    /// threaded shard sent `capacity / 2` batches evaluates them on its
+    /// own thread, with no `flush`, `sync` or `finish` to steal or
+    /// close.
+    ///
+    /// The precondition is made exact first: a `sync` steals the
+    /// `Subscribe` message (which would otherwise count toward the
+    /// threshold), and the test waits until the worker thread is parked
+    /// on the empty queue — a worker still running when the first batch
+    /// lands drains it early and leaves fewer than `capacity / 2`
+    /// behind, a tail only a barrier collects by design.
+    #[test]
+    fn half_full_queue_wakes_the_worker_without_a_barrier() {
+        const CAPACITY: usize = 8;
+        const BATCH: usize = 16;
+        let bounds = Rect::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0));
+        let mut engine = Engine::start(
+            EngineConfig::new(bounds)
+                .with_batch_size(BATCH)
+                .with_queue_capacity(CAPACITY),
+        );
+        let (tx, rx) = std::sync::mpsc::channel();
+        engine.subscribe(Subscription::new(
+            "all",
+            SpatialExtent::field(Field::rect(bounds)),
+            Box::new(tx),
+        ));
+        engine.sync();
+        let Backend::Threaded { slots, .. } = &engine.backend else {
+            unreachable!("the default engine is threaded");
+        };
+        slots[0].wait_parked();
+        // Exactly `CAPACITY / 2` full batches: the router hands each one
+        // off as it fills, and nothing else is sent.
+        let n = (CAPACITY / 2 * BATCH) as u64;
+        for i in 0..n {
+            engine.ingest(
+                EventInstance::builder(
+                    ObserverId::Mote(MoteId::new(1)),
+                    EventId::new("reading"),
+                    Layer::Sensor,
+                )
+                .generated(TimePoint::new(i), Point::new((i % 100) as f64, 50.0))
+                .attributes(Attributes::new().with("temp", 25.0))
+                .build(),
+            );
+        }
+        let deadline = Instant::now() + std::time::Duration::from_secs(30);
+        for delivered in 0..n {
+            let left = deadline.saturating_duration_since(Instant::now());
+            assert!(
+                rx.recv_timeout(left).is_ok(),
+                "only {delivered} of {n} deliveries arrived: the worker never woke"
+            );
+        }
+        let report = engine.finish();
+        assert_eq!(report.total_notifications(), n);
     }
 }

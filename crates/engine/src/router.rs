@@ -42,6 +42,18 @@ struct Interest {
     layers: u8,
 }
 
+/// One instance's routing decision: where it goes and the stamps the
+/// router consumed for it ([`ShardRouter::select`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Routed {
+    /// Bit `s` set: shard `s` receives the instance (0 = nowhere).
+    pub(crate) targets: u64,
+    /// The instance's global ingest sequence number.
+    pub(crate) seq: u64,
+    /// The stream clock over the strict prefix before the instance.
+    pub(crate) prefix_high_water: Option<TimePoint>,
+}
+
 /// Routes instances to shards and accumulates per-shard batches.
 ///
 /// Every instance goes to each shard that is home to a subscription
@@ -117,8 +129,8 @@ impl ShardRouter {
     /// the BVH index (see
     /// [`crate::EngineConfig::interest_bvh_threshold`]). `retain_owner`
     /// keeps the territorial-owner delivery even for instances no
-    /// subscription covers (durable-logging mode; see
-    /// [`ShardRouter::target_mask`]).
+    /// subscription covers (durable-logging mode: every operation must
+    /// reach some shard's write-ahead log).
     #[must_use]
     pub fn new(map: ShardMap, batch_size: usize, bvh_threshold: usize, retain_owner: bool) -> Self {
         let shards = map.shard_count();
@@ -413,70 +425,83 @@ impl ShardRouter {
         eval_at: Option<TimePoint>,
         ingest: u64,
     ) -> Vec<ShardId> {
-        let location = instance.estimated_location().representative();
         let t = eval_at.unwrap_or_else(|| instance.generation_time());
-        let targets = self.target_mask(location, layer_bit(instance.layer()));
+        let routed = self.select(
+            instance.estimated_location().representative(),
+            instance.layer(),
+            t,
+        );
+        let trace = self.item_trace(ingest, self.trace_stamp());
         let mut full = Vec::new();
-        let route = self.trace_stamp();
-        let (seq, prefix_high_water, trace) = self.stamp(t, ingest, route);
-        if targets == 0 {
+        if routed.targets == 0 {
             // Nothing subscribed and no durable log to feed: the clock
             // advanced, the instance goes nowhere.
             return full;
         }
-        if targets.count_ones() == 1 {
-            // Single target: the instance moves — no clone, no Arc.
-            let shard = targets.trailing_zeros() as ShardId;
-            let item = ItemPayload::Owned(instance);
-            if self.push_item(shard, seq, item, eval_at, prefix_high_water, trace) {
-                full.push(shard);
-            }
-            return full;
-        }
-        // Broadcast: one allocation shared by every target copy.
+        // One allocation shared by every target copy; the last holder
+        // moves the instance back out.
         let shared = Arc::new(instance);
-        let mut bits = targets;
+        let mut bits = routed.targets;
         while bits != 0 {
             let shard = bits.trailing_zeros() as ShardId;
             bits &= bits - 1;
-            let item = ItemPayload::Shared(Arc::clone(&shared));
-            if self.push_item(shard, seq, item, eval_at, prefix_high_water, trace) {
+            let item = ItemPayload::Instance(Arc::clone(&shared));
+            if self.push_item(shard, routed, item, eval_at, trace) {
                 full.push(shard);
             }
         }
         full
     }
 
-    /// Routes every row of a shared columnar chunk, iterating the
-    /// batch's dense representative-point and generation-time columns
-    /// instead of walking per-instance heap structures. Shards receive
-    /// [`ItemPayload::Columnar`] references into the chunk; the full
-    /// instance is only re-materialized downstream for rows that
-    /// notify.
-    ///
-    /// Sequence numbers, prefix high-water stamps, and the target
-    /// selection (leaf mask + precision pass) are identical to routing
-    /// the same instances one at a time through [`ShardRouter::route`].
-    /// Returns the shards whose pending batch reached the flush
-    /// threshold, deduplicated, in shard order.
-    pub fn route_batch(&mut self, batch: &Arc<ColumnarBatch>) -> Vec<ShardId> {
+    /// Selects one instance's targets (see [`ShardRouter::target_mask`])
+    /// from its representative point, layer and stream-clock sample
+    /// `t`, then advances the stream clock past `t` and consumes one
+    /// sequence number — whether or not anything is targeted, so the
+    /// rest of the stream's stamps and late-drop decisions never depend
+    /// on which instances were delivered.
+    pub(crate) fn select(&mut self, location: Point, layer: Layer, t: TimePoint) -> Routed {
+        let targets = self.target_mask(location, layer_bit(layer));
+        // The high-water mark over the strict prefix: stamped onto the
+        // routed item so shard drop decisions replay the global run.
+        let prefix_high_water = self.high_water;
+        self.high_water = Some(self.high_water.map_or(t, |h| h.max(t)));
+        self.metrics.routed += 1;
+        Routed {
+            targets,
+            seq: self.take_seq(),
+            prefix_high_water,
+        }
+    }
+
+    /// The item trace for `ingest`/`route` stamps (`None` with tracing
+    /// off).
+    pub(crate) fn item_trace(&self, ingest: u64, route: u64) -> Option<ItemTrace> {
+        self.trace_clock
+            .as_ref()
+            .map(|_| ItemTrace { ingest, route })
+    }
+
+    /// Queues the rows of a columnar chunk whose targets were already
+    /// selected: row `i` of `batch` is the instance `routed[i]` was
+    /// selected for, and every target shard receives an
+    /// [`ItemPayload::Columnar`] reference into the chunk. Returns the
+    /// shards whose pending batch reached the flush threshold,
+    /// deduplicated, in shard order.
+    pub(crate) fn push_columnar(
+        &mut self,
+        batch: &Arc<ColumnarBatch>,
+        routed: &[Routed],
+        trace: Option<ItemTrace>,
+    ) -> Vec<ShardId> {
+        debug_assert_eq!(batch.len(), routed.len(), "one selection per row");
         let mut full_mask: u64 = 0;
-        // One route stamp per chunk, shared by every row: a per-row
-        // clock read costs more than the routing itself on the columnar
-        // path, and the rows' ingest stamps (taken at batch fill, all
-        // before this call) stay `<=` the shared stamp.
-        let route = self.trace_stamp();
-        for row in 0..batch.len() {
-            let location = batch.representatives()[row];
-            let t = batch.generation_times()[row];
-            let targets = self.target_mask(location, layer_bit(batch.layer(row)));
-            let (seq, prefix_high_water, trace) = self.stamp(t, batch.ingest_stamp(row), route);
-            let mut bits = targets;
+        for (row, &selected) in routed.iter().enumerate() {
+            let mut bits = selected.targets;
             while bits != 0 {
                 let shard = bits.trailing_zeros() as ShardId;
                 bits &= bits - 1;
                 let item = ItemPayload::Columnar(Arc::clone(batch), row as u32);
-                if self.push_item(shard, seq, item, None, prefix_high_water, trace) {
+                if self.push_item(shard, selected, item, None, trace) {
                     full_mask |= 1 << shard;
                 }
             }
@@ -489,30 +514,6 @@ impl ShardRouter {
         full
     }
 
-    /// Advances the stream clock past `t` and consumes one sequence
-    /// number, returning `(seq, prefix_high_water, trace)` for the
-    /// routed item. The caller supplies the `route` stamp (taken once
-    /// per instance on the scalar path, once per chunk on the columnar
-    /// path) so `ingest..route` measures the real gap between engine
-    /// entry and routing without a clock read per routed copy.
-    fn stamp(
-        &mut self,
-        t: TimePoint,
-        ingest: u64,
-        route: u64,
-    ) -> (u64, Option<TimePoint>, Option<ItemTrace>) {
-        // The high-water mark over the strict prefix: stamped onto the
-        // routed item so shard drop decisions replay the global run.
-        let prefix_high_water = self.high_water;
-        self.high_water = Some(self.high_water.map_or(t, |h| h.max(t)));
-        self.metrics.routed += 1;
-        let trace = self
-            .trace_clock
-            .as_ref()
-            .map(|_| ItemTrace { ingest, route });
-        (self.take_seq(), prefix_high_water, trace)
-    }
-
     /// The delivery bitmask for an instance at `location` on `layer`
     /// (as a [`layer_bit`]): every interested shard that survives the
     /// precision pass, plus — under durable logging — the territorial
@@ -522,27 +523,27 @@ impl ShardRouter {
     /// resident subscriptions either sit on other layers or do not
     /// exactly cover the point. Workers re-check both anyway, so a skip
     /// can never lose a match — it only saves the delivery. Without
-    /// `retain_owner` the owner is pruned like any other shard: an
-    /// instance nobody subscribes to routes nowhere (the stream clock
-    /// and sequence still advance, so watermark/late-drop decisions on
-    /// the rest of the stream are untouched). With it, the owner always
-    /// receives a copy so the operation reaches its shard's
-    /// write-ahead log.
+    /// `retain_owner` the owner is pruned like any other shard (and
+    /// never even looked up): an instance nobody subscribes to routes
+    /// nowhere (the stream clock and sequence still advance, so
+    /// watermark/late-drop decisions on the rest of the stream are
+    /// untouched). With it, the owner always receives a copy so the
+    /// operation reaches its shard's write-ahead log.
     fn target_mask(&mut self, location: Point, layer: u8) -> u64 {
-        let owner = self.map.shard_for_point(location);
         let leaf = self.interest_grid.leaf_for_point(location);
         let mask = self.leaf_masks[leaf];
         if mask == 0 {
             self.metrics.owner_only += 1;
         }
-        let mut targets = mask;
-        let mut bits = if self.retain_owner {
-            // The owner receives regardless; don't bill a precision
-            // skip for a shard that stays in the mask.
-            mask & !(1 << owner)
+        let owner = if self.retain_owner {
+            1 << self.map.shard_for_point(location)
         } else {
-            mask
+            0
         };
+        let mut targets = mask | owner;
+        // The owner receives regardless; don't bill a precision skip
+        // for a shard that stays in the mask.
+        let mut bits = mask & !owner;
         while bits != 0 {
             let shard = bits.trailing_zeros() as ShardId;
             bits &= bits - 1;
@@ -550,9 +551,6 @@ impl ShardRouter {
                 self.metrics.precision_skipped += 1;
                 targets &= !(1 << shard);
             }
-        }
-        if self.retain_owner {
-            targets |= 1 << owner;
         }
         self.metrics.fanout += u64::from(targets.count_ones());
         targets
@@ -563,18 +561,17 @@ impl ShardRouter {
     fn push_item(
         &mut self,
         shard: ShardId,
-        seq: u64,
+        routed: Routed,
         payload: ItemPayload,
         eval_at: Option<TimePoint>,
-        prefix_high_water: Option<TimePoint>,
         trace: Option<ItemTrace>,
     ) -> bool {
         let pending = &mut self.pending[shard];
         pending.push(BatchItem {
-            seq,
+            seq: routed.seq,
             payload,
             eval_at,
-            prefix_high_water,
+            prefix_high_water: routed.prefix_high_water,
             trace,
         });
         pending.len() >= self.batch_size
@@ -595,12 +592,14 @@ impl ShardRouter {
     pub fn take_batch(&mut self, shard: ShardId) -> Batch {
         self.metrics.batches_sent += 1;
         self.heartbeat_sent[shard] = self.high_water;
-        // The next batch starts at full capacity: one allocation per
-        // batch instead of a doubling series.
+        // The next batch starts at the capacity this one grew to: one
+        // allocation per batch instead of a doubling series. (A columnar
+        // chunk is queued whole before its full batches are cut, so
+        // those batches run past `batch_size`.)
         let refill = if self.pending[shard].is_empty() {
             Vec::new()
         } else {
-            Vec::with_capacity(self.batch_size)
+            Vec::with_capacity(self.pending[shard].capacity())
         };
         Batch {
             instances: std::mem::replace(&mut self.pending[shard], refill),

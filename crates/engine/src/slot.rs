@@ -210,6 +210,27 @@ impl ShardSlot {
         }
     }
 
+    /// Blocks until the worker thread is parked on an empty queue (a
+    /// test precondition: nothing below the wake threshold is left
+    /// behind a sleeping worker). Panics after 30 s.
+    #[cfg(test)]
+    pub(crate) fn wait_parked(&self) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        loop {
+            {
+                let q = self.queue.lock().expect("shard worker panicked");
+                if q.parked && q.messages.is_empty() {
+                    return;
+                }
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the shard worker never parked"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+
     fn lock_worker(&self) -> MutexGuard<'_, Option<ShardWorker>> {
         self.worker.lock().expect("shard worker panicked")
     }

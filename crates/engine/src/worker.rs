@@ -429,7 +429,7 @@ fn decode_stream_item(bytes: &mut &[u8]) -> CodecResult<StreamItem> {
             let instance = codec::decode_instance(bytes)?;
             Ok(StreamItem::Instance(
                 at,
-                ItemPayload::Owned(instance),
+                ItemPayload::from(instance),
                 ItemMeta {
                     seq,
                     ..ItemMeta::default()
@@ -1043,7 +1043,7 @@ impl ShardWorker {
                         seq,
                         ..ItemMeta::default()
                     };
-                    self.push_instance(key, ItemPayload::Owned(instance), meta, false);
+                    self.push_instance(key, ItemPayload::from(instance), meta, false);
                 }
                 WalRecord::Probe {
                     seq,
@@ -1582,9 +1582,8 @@ impl ShardWorker {
                 None => PlanOutcome::Error,
             },
             EvalKind::Pattern(detector) => {
-                let instance = match payload {
-                    ItemPayload::Owned(instance) => instance,
-                    ItemPayload::Shared(instance) => instance,
+                let instance: &EventInstance = match payload {
+                    ItemPayload::Instance(instance) => instance,
                     columnar => materialized.get_or_insert_with(|| columnar.to_instance()),
                 };
                 // The trace tag threads through the pattern store so
@@ -2170,5 +2169,22 @@ mod tests {
         assert_eq!(metrics.wal.deduped, 1, "the mid-recovery probe was dropped");
         assert_eq!(ended_count(&survivor), 1, "the episode closes exactly once");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A routed item is a pointer plus stamps: every hop from the
+    /// router's pending batch to the reorder buffer moves it by value,
+    /// so an instance inlined into the payload would be copied at each.
+    #[test]
+    fn routed_items_stay_pointer_sized() {
+        assert!(
+            std::mem::size_of::<BatchItem>() <= 96,
+            "BatchItem is {} B",
+            std::mem::size_of::<BatchItem>()
+        );
+        assert!(
+            std::mem::size_of::<StreamItem>() <= 80,
+            "StreamItem is {} B",
+            std::mem::size_of::<StreamItem>()
+        );
     }
 }

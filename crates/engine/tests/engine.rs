@@ -280,42 +280,6 @@ fn threaded_backpressure_block_is_lossless() {
     assert_eq!(report.total_late_dropped(), 0);
 }
 
-/// The handoff wakes a parked worker once its queue is half full: a
-/// threaded shard sent `capacity / 2` batches evaluates them on its own
-/// thread, with no `flush`, `sync` or `finish` to steal or close.
-#[test]
-fn half_full_queue_wakes_the_worker_without_a_barrier() {
-    const CAPACITY: usize = 8;
-    const BATCH: usize = 16;
-    let mut engine = Engine::start(
-        EngineConfig::new(bounds())
-            .with_batch_size(BATCH)
-            .with_queue_capacity(CAPACITY),
-    );
-    let (tx, rx) = std::sync::mpsc::channel();
-    engine.subscribe(Subscription::new(
-        "all",
-        SpatialExtent::field(Field::rect(bounds())),
-        Box::new(tx),
-    ));
-    // Exactly `CAPACITY / 2` full batches: the router hands each one off
-    // as it fills, and nothing else is sent.
-    let n = (CAPACITY / 2 * BATCH) as u64;
-    for i in 0..n {
-        engine.ingest(mk("reading", i, i, (i % 100) as f64, 50.0, 25.0));
-    }
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-    for delivered in 0..n {
-        let left = deadline.saturating_duration_since(std::time::Instant::now());
-        assert!(
-            rx.recv_timeout(left).is_ok(),
-            "only {delivered} of {n} deliveries arrived: the worker never woke"
-        );
-    }
-    let report = engine.finish();
-    assert_eq!(report.total_notifications(), n);
-}
-
 #[test]
 fn metrics_account_for_the_stream() {
     let mut engine = Engine::start(
@@ -1453,40 +1417,61 @@ proptest! {
     }
 
     /// Columnar ingest ([`Engine::ingest_all`]) is semantically
-    /// identical to the per-instance path: same notification multiset
-    /// and same routing counters, across random streams × region sets ×
-    /// shard counts × chunk sizes × both execution modes — the columnar
-    /// chunking, arena-backed rows, and shared-batch routing are pure
-    /// layout changes.
+    /// identical to the per-instance path — the columnar chunking,
+    /// arena-backed rows, and routing before the copy are pure layout
+    /// changes. Across random streams × region sets × shard counts ×
+    /// chunk sizes × both execution modes, with disorder beyond the
+    /// watermark slack (so late drops happen) and region sets that miss
+    /// every instance, hit some, or cover most of the space (so the
+    /// rows the columnar path never copies are exercised at both
+    /// extremes):
+    /// - deterministic mode delivers the same ordered sequence per
+    ///   shard (the interleaving *across* shards follows flush timing,
+    ///   which chunking legitimately moves); threaded mode the same
+    ///   multiset;
+    /// - late drops and the routing counters agree.
     #[test]
     fn columnar_ingest_matches_per_instance_path(
         regions in proptest::collection::vec(
             (0.0f64..90.0, 0.0f64..90.0, 2.0f64..25.0), 1..16),
+        coverage in 0u8..3,
         points in proptest::collection::vec(
-            (0.0f64..100.0, 0.0f64..100.0), 1..100),
+            (0.0f64..100.0, 0.0f64..100.0, 0u64..60), 1..100),
+        slack in 0u64..30,
         shards in 1usize..5,
         batch in 1usize..40,
         threaded in proptest::bool::ANY,
     ) {
+        // 0: no region at all; 1: the random regions; 2: those plus a
+        // blanket circle over most of the space.
+        let mut circles = if coverage == 0 { Vec::new() } else { regions.clone() };
+        if coverage == 2 {
+            circles.push((50.0, 50.0, 60.0));
+        }
         let run = |columnar: bool| {
             let mut config = EngineConfig::new(bounds())
                 .with_shards(shards)
-                .with_batch_size(batch);
+                .with_batch_size(batch)
+                .with_watermark_slack(Duration::new(slack));
             if !threaded {
                 config = config.deterministic();
             }
             let mut engine = Engine::start(config);
             let collector = Collector::new();
-            for (i, &(x, y, r)) in regions.iter().enumerate() {
+            for (i, &(x, y, r)) in circles.iter().enumerate() {
                 engine.subscribe(
                     Subscription::new(format!("r{i}"), circle_region(x, y, r), collector.sink())
                         .for_event("reading"),
                 );
             }
+            // Generation times jitter up to 60 ticks behind a 10-tick
+            // cadence: disorder both within and beyond the slack.
             let stream: Vec<EventInstance> = points
                 .iter()
                 .enumerate()
-                .map(|(i, &(x, y))| mk("reading", i as u64, 10 * i as u64, x, y, 50.0))
+                .map(|(i, &(x, y, jitter))| {
+                    mk("reading", i as u64, 60 + 10 * i as u64 - jitter, x, y, 50.0)
+                })
                 .collect();
             if columnar {
                 engine.ingest_all(stream);
@@ -1496,11 +1481,23 @@ proptest! {
                 }
             }
             let report = engine.finish();
-            (notification_multiset(collector.take()), report)
+            let mut notes = collector.take();
+            let notes = if threaded {
+                notification_multiset(notes)
+            } else {
+                // Stable: each shard's own delivery order is kept.
+                notes.sort_by_key(|n| n.shard);
+                notes
+                    .iter()
+                    .map(|n| format!("{} {:?} {:?}", n.shard, n.subscription, n.kind))
+                    .collect()
+            };
+            (notes, report)
         };
         let (per_instance_notes, per_instance) = run(false);
         let (columnar_notes, columnar) = run(true);
-        prop_assert_eq!(per_instance_notes, columnar_notes, "delivery multisets diverged");
+        prop_assert_eq!(per_instance_notes, columnar_notes, "deliveries diverged");
+        prop_assert_eq!(per_instance.total_late_dropped(), columnar.total_late_dropped());
         prop_assert_eq!(per_instance.router.routed, columnar.router.routed);
         prop_assert_eq!(per_instance.router.fanout, columnar.router.fanout);
         prop_assert_eq!(
